@@ -226,14 +226,14 @@ func (d *daemon) Start() error {
 	}
 	d.ln = ln
 	if !d.opts.noResume {
-		jobs, err := d.srv.Runner().Resume()
+		n, err := d.srv.Runner().Resume()
 		if err != nil {
 			d.journal.Close()
 			ln.Close()
 			return fmt.Errorf("resuming journaled studies: %w", err)
 		}
-		if len(jobs) > 0 {
-			fmt.Printf("hpod: resumed %d interrupted stud(y/ies) from the journal\n", len(jobs))
+		if n > 0 {
+			fmt.Printf("hpod: resumed %d interrupted stud(y/ies) from the journal\n", n)
 		}
 	}
 	go func() { d.served <- d.http.Serve(ln) }()

@@ -128,9 +128,10 @@ func (q *AdmissionQueue) SetEpochUsage(fn func(tenant string) int) {
 }
 
 // Reserve admits study id for tenant into the waiting room, without
-// blocking. It returns nil on admission (idempotent for an id already
-// reserved), a *QuotaError wrapping ErrQuotaExceeded when the tenant is at
-// quota, or ErrBackpressure when the waiting room is full.
+// blocking. It returns nil on admission, ErrAlreadyAdmitted when id
+// already holds a reservation (waiting or granted), a *QuotaError wrapping
+// ErrQuotaExceeded when the tenant is at quota, or ErrBackpressure when
+// the waiting room is full.
 func (q *AdmissionQueue) Reserve(tenant, id string) error {
 	q.mu.Lock()
 	err := q.reserveLocked(tenant, id, false)
@@ -178,13 +179,15 @@ func (q *AdmissionQueue) ReserveWait(ctx context.Context, tenant, id string) err
 	}
 }
 
-// reserveLocked is the admission check + enqueue. Callers hold q.mu.
+// reserveLocked is the admission check + enqueue. Callers hold q.mu. A
+// duplicate id is reported, not absorbed, so the caller decides "already
+// queued or running" atomically with the reservation.
 func (q *AdmissionQueue) reserveLocked(tenant, id string, forced bool) error {
 	if q.closed {
 		return fmt.Errorf("%w: admission queue shut down", ErrAdmissionAborted)
 	}
 	if _, ok := q.entries[id]; ok {
-		return nil
+		return fmt.Errorf("%w: study %q", ErrAlreadyAdmitted, id)
 	}
 	if !forced {
 		var lim TenantLimits
@@ -378,6 +381,19 @@ func (q *AdmissionQueue) setInflightLocked(tenant string, n int) {
 func (q *AdmissionQueue) signalRoomLocked() {
 	close(q.roomFree)
 	q.roomFree = make(chan struct{})
+}
+
+// State reports whether study id holds a reservation (ok) and, if so,
+// whether it has been granted an execution slot. The entries map is the
+// runner's only record of in-flight studies.
+func (q *AdmissionQueue) State(id string) (granted, ok bool) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	tk := q.entries[id]
+	if tk == nil {
+		return false, false
+	}
+	return tk.state == admGranted, true
 }
 
 // Depth reports how many admitted studies are waiting for a slot.

@@ -258,12 +258,22 @@ func TestAdmissionAbortAndShutdown(t *testing.T) {
 	if err := <-done; !errors.Is(err, ErrAdmissionAborted) {
 		t.Fatalf("aborted Await = %v, want ErrAdmissionAborted", err)
 	}
-	// Idempotent reserve of a live id, then shutdown.
-	if err := q.Reserve("a", "run"); err != nil {
-		t.Fatalf("re-reserve of live id = %v, want nil (idempotent)", err)
+	// A live id reports the duplicate instead of absorbing it, then
+	// shutdown.
+	if err := q.Reserve("a", "run"); !errors.Is(err, ErrAlreadyAdmitted) {
+		t.Fatalf("re-reserve of live id = %v, want ErrAlreadyAdmitted", err)
+	}
+	if granted, ok := q.State("run"); !granted || !ok {
+		t.Fatalf("State(run) = (%v, %v), want granted", granted, ok)
+	}
+	if _, ok := q.State("wait"); ok {
+		t.Fatal("an aborted reservation must leave no entry")
 	}
 	if err := q.Reserve("b", "w2"); err != nil {
 		t.Fatal(err)
+	}
+	if granted, ok := q.State("w2"); granted || !ok {
+		t.Fatalf("State(w2) = (%v, %v), want waiting", granted, ok)
 	}
 	q.Shutdown()
 	if err := q.Await("w2"); !errors.Is(err, ErrAdmissionAborted) {

@@ -27,6 +27,10 @@ var (
 	// its grant (study canceled, queue shut down). The study's journaled
 	// state — not this error — decides what happens next.
 	ErrAdmissionAborted = errors.New("hpo: admission reservation aborted")
+	// ErrAlreadyAdmitted reports a reservation for a study that already
+	// holds one (waiting or granted). The runner treats it as "already
+	// queued or running": the start is a no-op, never a second execution.
+	ErrAlreadyAdmitted = errors.New("hpo: study already admitted")
 )
 
 // QuotaError is the detail-carrying form of ErrQuotaExceeded: which tenant

@@ -322,3 +322,23 @@ func TestStudyGridMatchesPaperTaskCount(t *testing.T) {
 		t.Fatalf("trials=%d completed=%d, want 27 (paper §5)", len(res.Trials), stats.Completed)
 	}
 }
+
+func TestMLObjectiveCNNModel(t *testing.T) {
+	obj := &MLObjective{Dataset: datasets.MNISTLike(120, 9), Hidden: []int{8}}
+	m, err := obj.Run(ObjectiveContext{
+		Config: Config{"model": "cnn", "filters": 2, "num_epochs": 2, "batch_size": 24, "optimizer": "Adam"},
+		Seed:   9,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Epochs != 2 || m.FinalAcc <= 0.1 {
+		t.Fatalf("CNN objective metrics = %+v", m)
+	}
+	if _, err := obj.Run(ObjectiveContext{
+		Config: Config{"model": "transformer", "num_epochs": 1, "batch_size": 8},
+		Seed:   9,
+	}); err == nil {
+		t.Fatal("expected error for unknown model kind")
+	}
+}

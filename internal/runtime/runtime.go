@@ -65,8 +65,6 @@ type Runtime struct {
 	cond *sync.Cond
 	opts Options
 	defs map[string]TaskDef
-	// impls holds @implement alternatives keyed by base task name.
-	impls map[string][]TaskDef
 
 	nodes []*nodeState
 	ready []*invocation
@@ -96,10 +94,9 @@ type Runtime struct {
 // validate; Remote starts with zero nodes until workers attach.
 func New(opts Options) (*Runtime, error) {
 	rt := &Runtime{
-		opts:  opts,
-		defs:  make(map[string]TaskDef),
-		impls: make(map[string][]TaskDef),
-		rec:   opts.Recorder,
+		opts: opts,
+		defs: make(map[string]TaskDef),
+		rec:  opts.Recorder,
 	}
 	rt.cond = sync.NewCond(&rt.mu)
 	if opts.Graph {
@@ -192,7 +189,6 @@ func (rt *Runtime) Submit(name string, args ...interface{}) ([]*Future, error) {
 	}
 	inv := &invocation{
 		id:      len(rt.invs) + 1,
-		base:    def,
 		def:     def,
 		args:    append([]interface{}(nil), args...),
 		deps:    make(map[int]*invocation),
@@ -273,21 +269,19 @@ func (rt *Runtime) dispatch() {
 			if inv == nil {
 				continue
 			}
-			def, nodes, feasible := rt.pickImplementation(inv)
+			nodes := rt.pickNodes(inv)
 			if nodes == nil {
-				if !feasible {
-					// No implementation can ever run on any node (e.g.
-					// constraint larger than every node, or all candidates
-					// down): fail fast.
+				if !rt.schedulable(inv) {
+					// No node set can ever run it (e.g. constraint larger
+					// than every node, or all candidates down): fail fast.
 					rt.ready[i] = nil
 					rt.finishLocked(inv, nil, fmt.Errorf(
 						"runtime: task %d (%s) unschedulable: needs %d cores / %d gpus",
-						inv.id, inv.base.Name, inv.base.Constraint.Cores, inv.base.Constraint.GPUs), true)
+						inv.id, inv.def.Name, inv.def.Constraint.Cores, inv.def.Constraint.GPUs), true)
 					progress = true
 				}
 				continue // wait for resources (paper §4: "tasks wait")
 			}
-			inv.def = def
 			rt.ready[i] = nil
 			rt.place(inv, nodes)
 			progress = true

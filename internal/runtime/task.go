@@ -192,11 +192,7 @@ func (s invState) String() string {
 
 // invocation is one submitted task instance.
 type invocation struct {
-	id int
-	// base is the definition registered under the submitted name; def is
-	// the implementation actually chosen at dispatch time (may be an
-	// @implement alternative).
-	base TaskDef
+	id   int
 	def  TaskDef
 	args []interface{}
 	// deps are the producing invocations this one waits for.

@@ -86,8 +86,8 @@ func TestServerCancelStopsRunningStudy(t *testing.T) {
 
 	// Canceled is terminal: no re-queue on resume, and a second cancel
 	// conflicts.
-	if jobs, err := srv.Runner().Resume(); err != nil || len(jobs) != 0 {
-		t.Fatalf("resume after cancel = %d jobs, %v", len(jobs), err)
+	if n, err := srv.Runner().Resume(); err != nil || n != 0 {
+		t.Fatalf("resume after cancel = %d studies, %v", n, err)
 	}
 	code, _ = postJSON(t, ts.URL+"/v1/studies/"+id+"/cancel", "")
 	if code != http.StatusConflict {

@@ -24,16 +24,18 @@ var ErrNotCancelable = errors.New("server: study is not queued or running")
 // the study's objective) must not leak between studies.
 type RuntimeFactory func(spec StudySpec) (*runtime.Runtime, func(), error)
 
-// Runner executes persisted studies asynchronously: a bounded worker pool
-// of jobs, each building a study from its stored spec and running it on a
-// factory-provided runtime, recording trials through the journal. Running
-// studies are registered as live hpo.Study handles so Cancel can stop them
-// mid-flight.
+// Runner executes persisted studies asynchronously: one goroutine per
+// started study, gated by the admission queue, builds the study from its
+// stored spec and runs it on a factory-provided runtime, recording trials
+// through the journal. The admission queue's reservations are the only
+// record of in-flight studies. Running studies are registered as live
+// hpo.Study handles so Cancel can stop them mid-flight.
 type Runner struct {
 	store   *store.Journal
-	pool    *runtime.Pool
 	adm     *hpo.AdmissionQueue
 	factory RuntimeFactory
+	// studies counts study goroutines so Close can wait for them.
+	studies sync.WaitGroup
 	// Objectives overrides spec→objective construction (tests inject fast
 	// synthetic objectives here); nil uses StudySpec.BuildObjective.
 	Objectives func(StudySpec) (hpo.Objective, error)
@@ -60,15 +62,13 @@ type Runner struct {
 }
 
 // NewRunner builds a runner executing at most maxConcurrent studies at
-// once. Concurrency is enforced by the admission queue, not the worker
-// pool: every submitted study gets a goroutine immediately, but blocks in
+// once. Every started study gets a goroutine immediately, which blocks in
 // AdmissionQueue.Await until the queue grants it one of maxConcurrent
-// slots — that is what makes weighted fair-share ordering (instead of
-// pool FIFO) decide who runs next under contention.
+// slots — weighted fair-share ordering decides who runs next under
+// contention.
 func NewRunner(st *store.Journal, factory RuntimeFactory, maxConcurrent int) *Runner {
 	return &Runner{
-		store: st, pool: runtime.NewPool(1 << 20),
-		adm: hpo.NewAdmissionQueue(maxConcurrent), factory: factory,
+		store: st, adm: hpo.NewAdmissionQueue(maxConcurrent), factory: factory,
 		active:    make(map[string]*hpo.Study),
 		cancelReq: make(map[string]bool),
 	}
@@ -89,43 +89,35 @@ func (r *Runner) SetQueueDepth(n int) { r.adm.SetMaxDepth(n) }
 // Admission exposes the admission queue (metrics, tests).
 func (r *Runner) Admission() *hpo.AdmissionQueue { return r.adm }
 
-// Start queues a persisted study for execution and returns its job handle.
-// Starting a study that is already queued or running returns the live
-// handle (idempotent); finished (or canceled) studies re-run, resuming
-// every recorded trial from the journal. Admission is checked first: a
-// tenant at quota gets hpo.ErrQuotaExceeded, a full waiting room
-// hpo.ErrBackpressure — in both cases nothing is journaled.
-func (r *Runner) Start(id string) (*runtime.Job, error) {
+// Start queues a persisted study for execution. Starting a study that is
+// already queued or running is a no-op (idempotent); finished (or
+// canceled) studies re-run, resuming every recorded trial from the
+// journal. Admission is checked first: a tenant at quota gets
+// hpo.ErrQuotaExceeded, a full waiting room hpo.ErrBackpressure, a closed
+// runner hpo.ErrAdmissionAborted — in every case nothing is journaled.
+func (r *Runner) Start(id string) error {
 	return r.start(id, nil, false)
 }
 
 // StartWait is Start that, when the waiting room is full, blocks for
 // space until ctx expires (then hpo.ErrBackpressureTimeout) instead of
 // failing fast. Quota rejections still return immediately.
-func (r *Runner) StartWait(ctx context.Context, id string) (*runtime.Job, error) {
+func (r *Runner) StartWait(ctx context.Context, id string) error {
 	return r.start(id, ctx, false)
 }
 
-// startForced is the restart path: studies the journal already recorded
-// as active were admitted once and re-enter the room bypassing quota and
-// depth checks.
-func (r *Runner) startForced(id string) (*runtime.Job, error) {
-	return r.start(id, nil, true)
-}
-
-func (r *Runner) start(id string, waitCtx context.Context, forced bool) (*runtime.Job, error) {
+// start reserves admission for id and, when this call created the
+// reservation, launches the study's goroutine. forced is the restart
+// path: studies the journal already recorded as active were admitted once
+// and re-enter the room bypassing quota and depth checks.
+func (r *Runner) start(id string, waitCtx context.Context, forced bool) error {
 	meta, err := r.store.GetStudy(id)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if job, ok := r.pool.Job(id); ok {
-		if st := job.State(); st == runtime.JobQueued || st == runtime.JobRunning {
-			return job, nil
-		}
-	}
-	r.mu.Lock()
-	delete(r.cancelReq, id) // an explicit restart clears a stale cancel
-	r.mu.Unlock()
+	// Counted before reserving: once Close's Shutdown makes reservations
+	// fail, no goroutine can join the group behind its wait.
+	r.studies.Add(1)
 	switch {
 	case forced:
 		err = r.adm.ReserveForced(meta.Tenant, id)
@@ -135,26 +127,32 @@ func (r *Runner) start(id string, waitCtx context.Context, forced bool) (*runtim
 		err = r.adm.Reserve(meta.Tenant, id)
 	}
 	if err != nil {
-		return nil, err
+		r.studies.Done()
+		if errors.Is(err, hpo.ErrAlreadyAdmitted) {
+			return nil // already queued or running
+		}
+		return err
 	}
+	r.mu.Lock()
+	delete(r.cancelReq, id) // an explicit restart clears a stale cancel
+	r.mu.Unlock()
 	if err := r.store.SetStudyState(id, store.StateQueued, "", nil); err != nil {
 		r.adm.Release(id)
-		return nil, err
+		r.studies.Done()
+		return err
 	}
-	job, err := r.pool.Submit(id, func() error {
-		if err := r.adm.Await(id); err != nil {
+	go func() {
+		defer r.studies.Done()
+		if r.adm.Await(id) != nil {
 			// Reservation withdrawn (cancel or shutdown) before a slot was
 			// granted; nothing ran, nothing to release.
-			return nil
+			return
 		}
 		defer r.adm.Release(id)
-		return r.execute(id)
-	})
-	if err != nil {
-		r.adm.Release(id)
-		return nil, err
-	}
-	return job, nil
+		// The outcome is journaled as the study's terminal state.
+		_ = r.execute(id)
+	}()
+	return nil
 }
 
 // Cancel stops a queued or running study: the live study (if any) receives
@@ -191,30 +189,40 @@ func (r *Runner) Cancel(id string) error {
 // Resume re-queues every study the journal recorded as queued or running —
 // the restart path: finished trials replay from the journal, only the
 // remainder executes. Canceled studies are terminal and never re-queued.
-func (r *Runner) Resume() ([]*runtime.Job, error) {
-	var jobs []*runtime.Job
+// It returns how many studies it re-queued.
+func (r *Runner) Resume() (int, error) {
+	n := 0
 	for _, id := range r.store.ActiveStudies() {
-		job, err := r.startForced(id)
-		if err != nil {
-			return jobs, err
+		if err := r.start(id, nil, true); err != nil {
+			return n, err
 		}
-		jobs = append(jobs, job)
+		n++
 	}
-	return jobs, nil
+	return n, nil
 }
-
-// Job exposes a study's execution handle.
-func (r *Runner) Job(id string) (*runtime.Job, bool) { return r.pool.Job(id) }
 
 // Close stops accepting work, aborts every study still waiting for
 // admission (their journaled queued state resumes them next boot), and
 // waits up to drain for executing studies (their journaled trials make
-// abandonment safe; zero waits forever). It reports whether the pool
-// fully drained.
+// abandonment safe; zero waits forever). It reports whether every study
+// goroutine finished.
 func (r *Runner) Close(drain time.Duration) bool {
-	r.pool.Close()
 	r.adm.Shutdown()
-	return r.pool.Drain(drain)
+	done := make(chan struct{})
+	go func() {
+		r.studies.Wait()
+		close(done)
+	}()
+	var timeout <-chan time.Time // nil: wait forever
+	if drain > 0 {
+		timeout = time.After(drain)
+	}
+	select {
+	case <-done:
+		return true
+	case <-timeout:
+		return false
+	}
 }
 
 // canceled reports whether a cancel was requested for id.
@@ -227,7 +235,7 @@ func (r *Runner) canceled(id string) bool {
 // execute runs one study to completion, transitioning its journal state.
 func (r *Runner) execute(id string) error {
 	if r.canceled(id) {
-		// Canceled while waiting for a pool slot; Cancel already journaled
+		// Canceled while its grant raced Cancel; Cancel already journaled
 		// the terminal state.
 		return nil
 	}

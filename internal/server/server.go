@@ -1,8 +1,8 @@
 // Package server is the hpod HTTP control plane: a net/http API over the
-// persistent study store (internal/store) and the async study runner
-// (bounded worker pool over internal/runtime). Studies are created from
-// JSON specs, executed asynchronously, and observable via polling or a
-// per-study SSE event stream fed by the journal.
+// persistent study store (internal/store) and the async study runner (a
+// goroutine per study, gated by the admission queue). Studies are created
+// from JSON specs, executed asynchronously, and observable via polling or
+// a per-study SSE event stream fed by the journal.
 //
 //	POST /v1/studies             create a study (spec body; "start": true to run)
 //	GET  /v1/studies             list studies
@@ -37,7 +37,6 @@ import (
 	"time"
 
 	"repro/internal/hpo"
-	"repro/internal/runtime"
 	"repro/internal/store"
 )
 
@@ -200,8 +199,7 @@ func (s *Server) errorStatus(w http.ResponseWriter, err error) int {
 	case errors.Is(err, hpo.ErrBackpressure), errors.Is(err, hpo.ErrBackpressureTimeout):
 		code = http.StatusServiceUnavailable
 		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(s.retryAfter)))
-	case errors.Is(err, hpo.ErrAdmissionAborted),
-		errors.Is(err, store.ErrClosed), errors.Is(err, runtime.ErrPoolClosed):
+	case errors.Is(err, hpo.ErrAdmissionAborted), errors.Is(err, store.ErrClosed):
 		code = http.StatusServiceUnavailable
 	}
 	return code
@@ -259,8 +257,11 @@ func (s *Server) view(meta store.StudyMeta, withSpec bool) studyView {
 	if n := s.store.TrialCount(meta.ID); n > v.Trials {
 		v.Trials = n
 	}
-	if job, ok := s.runner.Job(meta.ID); ok {
-		v.Job = job.State().String()
+	if granted, ok := s.runner.adm.State(meta.ID); ok {
+		v.Job = "queued"
+		if granted {
+			v.Job = "running"
+		}
 	}
 	if withSpec {
 		v.Spec = json.RawMessage(meta.Spec)
@@ -335,7 +336,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if spec.Start {
-		if _, err := s.runner.Start(id); err != nil {
+		if err := s.runner.Start(id); err != nil {
 			// The study exists but was refused admission (quota or
 			// backpressure): return the id so the client can start it later.
 			writeJSON(w, s.errorStatus(w, err), map[string]string{"error": err.Error(), "id": id})
@@ -391,10 +392,10 @@ func (s *Server) handleStart(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		ctx, cancel := context.WithTimeout(r.Context(), d)
-		_, err = s.runner.StartWait(ctx, id)
+		err = s.runner.StartWait(ctx, id)
 		cancel()
 	} else {
-		_, err = s.runner.Start(id)
+		err = s.runner.Start(id)
 	}
 	if err != nil {
 		s.writeError(w, err)
