@@ -15,8 +15,10 @@ const (
 	// chains per inner iteration, loading 4+4 operand values.
 	mrTile = 4
 	nrTile = 4
-	// kcBlock is the k-panel length; a 4-column stripe of b over one panel
-	// is kcBlock×nrTile×8 bytes = 8 KiB, comfortably L1-resident.
+	// kcBlock is the k-panel length. Nothing is packed: b is read in place
+	// with row stride n, and every 4-row tile of a panel re-reads the same
+	// kcBlock rows of it. The panel also fixes where partial sums are added
+	// into the output, so changing it changes the result bits.
 	kcBlock = 256
 	// parallelCutover is the minimum multiply-add count (m·n·k) before
 	// MatMulParallel and friends spawn goroutines. Below it the fork/join
@@ -64,16 +66,10 @@ func MatMulInto(dst, a, b *Tensor, units int) *Tensor {
 	return dst
 }
 
-// MatMulTransA returns aᵀ×b without materialising the transpose of a.
-// a is k×m and b is k×n; the result is m×n. This is the Dense/Conv2D
-// backward weight-gradient product (dW = xᵀ·grad).
-func MatMulTransA(a, b *Tensor, units int) *Tensor {
-	m, _, n := mmShapeTransA(a, b)
-	return MatMulTransAInto(New(m, n), a, b, units)
-}
-
 // MatMulTransAInto computes dst = aᵀ×b in place (dst must be m×n for a of
-// shape k×m and b of shape k×n) and returns dst.
+// shape k×m and b of shape k×n) and returns dst, without materialising the
+// transpose of a. This is the Dense/Conv2D backward weight-gradient product
+// (dW = xᵀ·grad).
 func MatMulTransAInto(dst, a, b *Tensor, units int) *Tensor {
 	m, k, n := mmShapeTransA(a, b)
 	checkInto(dst, m, n)
@@ -91,16 +87,10 @@ func MatMulTransAInto(dst, a, b *Tensor, units int) *Tensor {
 	return dst
 }
 
-// MatMulTransB returns a×bᵀ without materialising the transpose of b.
-// a is m×k and b is n×k; the result is m×n. This is the Dense/Conv2D
-// backward input-gradient product (dX = grad·Wᵀ).
-func MatMulTransB(a, b *Tensor, units int) *Tensor {
-	m, _, n := mmShapeTransB(a, b)
-	return MatMulTransBInto(New(m, n), a, b, units)
-}
-
 // MatMulTransBInto computes dst = a×bᵀ in place (dst must be m×n for a of
-// shape m×k and b of shape n×k) and returns dst.
+// shape m×k and b of shape n×k) and returns dst, without materialising the
+// transpose of b. This is the Dense/Conv2D backward input-gradient product
+// (dX = grad·Wᵀ).
 func MatMulTransBInto(dst, a, b *Tensor, units int) *Tensor {
 	m, k, n := mmShapeTransB(a, b)
 	checkInto(dst, m, n)
@@ -190,8 +180,9 @@ func gemmParallel(m, k, n, units int, kernel func(lo, hi int)) {
 
 // gemmNN computes out[lo:hi, :] = a[lo:hi, :]×b for row-major a (·×k),
 // b (k×n) and out (·×n). The inner kernel keeps a 4×4 accumulator tile in
-// registers across a k-panel; the first panel stores (overwriting whatever
-// dst held) and subsequent panels accumulate.
+// registers across a k-panel (full 4×8 tiles go to the bit-identical
+// assembly tile4x8 when useAVX2); the first panel stores (overwriting
+// whatever dst held) and subsequent panels accumulate.
 func gemmNN(a, b, out []float64, k, n, lo, hi int) {
 	for kb := 0; kb < k; kb += kcBlock {
 		kEnd := kb + kcBlock
@@ -206,6 +197,11 @@ func gemmNN(a, b, out []float64, k, n, lo, hi int) {
 			a2 := a[(i+2)*k : (i+2)*k+k]
 			a3 := a[(i+3)*k : (i+3)*k+k]
 			j := 0
+			if useAVX2 {
+				for ; j+8 <= n; j += 8 {
+					tile4x8(kEnd-kb, &a[i*k+kb], k, 1, &b[kb*n+j], n, &out[i*n+j], n, !first)
+				}
+			}
 			for ; j+nrTile <= n; j += nrTile {
 				var c00, c01, c02, c03 float64
 				var c10, c11, c12, c13 float64
@@ -307,6 +303,7 @@ func gemmNN(a, b, out []float64, k, n, lo, hi int) {
 // gemmTA computes out[lo:hi, :] = (aᵀ×b)[lo:hi, :] for a (k×m), b (k×n) and
 // out (m×n), reading both operands along their natural row-major layout —
 // a[p·m+i…] and b[p·n+j…] are contiguous — so no transpose copy is needed.
+// Full 4×8 tiles take tile4x8 as in gemmNN, reading a with column stride m.
 func gemmTA(a, b, out []float64, k, m, n, lo, hi int) {
 	for kb := 0; kb < k; kb += kcBlock {
 		kEnd := kb + kcBlock
@@ -317,6 +314,11 @@ func gemmTA(a, b, out []float64, k, m, n, lo, hi int) {
 		i := lo
 		for ; i+mrTile <= hi; i += mrTile {
 			j := 0
+			if useAVX2 {
+				for ; j+8 <= n; j += 8 {
+					tile4x8(kEnd-kb, &a[kb*m+i], 1, m, &b[kb*n+j], n, &out[i*n+j], n, !first)
+				}
+			}
 			for ; j+nrTile <= n; j += nrTile {
 				var c00, c01, c02, c03 float64
 				var c10, c11, c12, c13 float64
@@ -488,38 +490,4 @@ func gemmTB(a, b, out []float64, k, n, lo, hi int) {
 			out[i*n+j] = s
 		}
 	}
-}
-
-// MatVec returns the matrix-vector product a×x where a is m×k and x has k
-// elements; the result has m elements (shape m×1 flattened to [m]).
-func MatVec(a, x *Tensor) *Tensor {
-	if a.Rank() != 2 {
-		panic("tensor: MatVec requires a 2-D matrix")
-	}
-	m, k := a.shape[0], a.shape[1]
-	if x.Size() != k {
-		panic(fmt.Sprintf("tensor: MatVec dimensions do not match: %v × %d-vector", a.shape, x.Size()))
-	}
-	out := New(m)
-	for i := 0; i < m; i++ {
-		s := 0.0
-		row := a.data[i*k : (i+1)*k]
-		for j := 0; j < k; j++ {
-			s += row[j] * x.data[j]
-		}
-		out.data[i] = s
-	}
-	return out
-}
-
-// Dot returns the inner product of two tensors viewed as flat vectors.
-func Dot(a, b *Tensor) float64 {
-	if a.Size() != b.Size() {
-		panic(fmt.Sprintf("tensor: Dot size mismatch %d vs %d", a.Size(), b.Size()))
-	}
-	s := 0.0
-	for i := range a.data {
-		s += a.data[i] * b.data[i]
-	}
-	return s
 }

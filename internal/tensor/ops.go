@@ -20,11 +20,6 @@ func (t *Tensor) Mul(o *Tensor) *Tensor {
 	return t.zipWith(o, func(a, b float64) float64 { return a * b })
 }
 
-// Div returns t / o element-wise.
-func (t *Tensor) Div(o *Tensor) *Tensor {
-	return t.zipWith(o, func(a, b float64) float64 { return a / b })
-}
-
 func (t *Tensor) zipWith(o *Tensor, f func(a, b float64) float64) *Tensor {
 	if !sameShape(t.shape, o.shape) {
 		panic(fmt.Sprintf("tensor: shape mismatch %v vs %v", t.shape, o.shape))
@@ -34,17 +29,6 @@ func (t *Tensor) zipWith(o *Tensor, f func(a, b float64) float64) *Tensor {
 		out.data[i] = f(t.data[i], o.data[i])
 	}
 	return out
-}
-
-// AddInPlace adds o into t element-wise and returns t.
-func (t *Tensor) AddInPlace(o *Tensor) *Tensor {
-	if !sameShape(t.shape, o.shape) {
-		panic(fmt.Sprintf("tensor: shape mismatch %v vs %v", t.shape, o.shape))
-	}
-	for i := range t.data {
-		t.data[i] += o.data[i]
-	}
-	return t
 }
 
 // Scale returns t * s element-wise.
@@ -80,14 +64,6 @@ func (t *Tensor) Apply(f func(float64) float64) *Tensor {
 		out.data[i] = f(t.data[i])
 	}
 	return out
-}
-
-// ApplyInPlace applies f to every element in place and returns t.
-func (t *Tensor) ApplyInPlace(f func(float64) float64) *Tensor {
-	for i := range t.data {
-		t.data[i] = f(t.data[i])
-	}
-	return t
 }
 
 // Sum returns the sum of all elements.
@@ -164,24 +140,9 @@ func (t *Tensor) ArgMaxRows() []int {
 	return out
 }
 
-// SumRows returns a 1×cols tensor with the column sums of a 2-D tensor.
-func (t *Tensor) SumRows() *Tensor {
-	if len(t.shape) != 2 {
-		panic("tensor: SumRows requires a 2-D tensor")
-	}
-	rows, cols := t.shape[0], t.shape[1]
-	out := New(1, cols)
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			out.data[c] += t.data[r*cols+c]
-		}
-	}
-	return out
-}
-
 // SumRowsInto writes the column sums of a 2-D tensor into dst (1×cols),
-// overwriting it, and returns dst. It is the allocation-free variant of
-// SumRows used by layer backward passes for bias gradients.
+// overwriting it, and returns dst. Layer backward passes use it for bias
+// gradients.
 func (t *Tensor) SumRowsInto(dst *Tensor) *Tensor {
 	if len(t.shape) != 2 {
 		panic("tensor: SumRowsInto requires a 2-D tensor")
@@ -203,29 +164,8 @@ func (t *Tensor) SumRowsInto(dst *Tensor) *Tensor {
 	return dst
 }
 
-// AddRowVector adds a 1×cols row vector to every row of a 2-D tensor,
-// returning a new tensor.
-func (t *Tensor) AddRowVector(v *Tensor) *Tensor {
-	if len(t.shape) != 2 {
-		panic("tensor: AddRowVector requires a 2-D tensor")
-	}
-	cols := t.shape[1]
-	if v.Size() != cols {
-		panic(fmt.Sprintf("tensor: row vector size %d does not match %d columns", v.Size(), cols))
-	}
-	out := t.Clone()
-	rows := t.shape[0]
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			out.data[r*cols+c] += v.data[c]
-		}
-	}
-	return out
-}
-
 // AddRowVectorInPlace adds a 1×cols row vector to every row of a 2-D tensor
-// in place and returns t — the bias-add step of a layer forward pass without
-// the copy AddRowVector makes.
+// in place and returns t — the bias-add step of a layer forward pass.
 func (t *Tensor) AddRowVectorInPlace(v *Tensor) *Tensor {
 	if len(t.shape) != 2 {
 		panic("tensor: AddRowVectorInPlace requires a 2-D tensor")

@@ -89,15 +89,6 @@ func (r *RNG) Perm(n int) []int {
 	return p
 }
 
-// Rand returns a tensor with elements uniform in [0, 1).
-func Rand(r *RNG, shape ...int) *Tensor {
-	t := New(shape...)
-	for i := range t.data {
-		t.data[i] = r.Float64()
-	}
-	return t
-}
-
 // Randn returns a tensor with standard-normal elements.
 func Randn(r *RNG, shape ...int) *Tensor {
 	t := New(shape...)
@@ -115,17 +106,6 @@ func GlorotUniform(r *RNG, fanIn, fanOut int) *Tensor {
 	t := New(fanIn, fanOut)
 	for i := range t.data {
 		t.data[i] = r.Range(-limit, limit)
-	}
-	return t
-}
-
-// HeNormal returns a fanIn×fanOut weight matrix initialised with He-normal
-// scaling, appropriate ahead of ReLU activations.
-func HeNormal(r *RNG, fanIn, fanOut int) *Tensor {
-	std := math.Sqrt(2.0 / float64(fanIn))
-	t := New(fanIn, fanOut)
-	for i := range t.data {
-		t.data[i] = r.NormFloat64() * std
 	}
 	return t
 }

@@ -110,12 +110,8 @@ func TestSplitIndependence(t *testing.T) {
 
 func TestRandTensorsShapeAndRange(t *testing.T) {
 	r := NewRNG(10)
-	u := Rand(r, 5, 5)
-	if u.Size() != 25 {
-		t.Fatalf("Rand size = %d", u.Size())
-	}
-	if u.Min() < 0 || u.Max() >= 1 {
-		t.Fatalf("Rand out of range: [%v, %v]", u.Min(), u.Max())
+	if u := Randn(r, 5, 5); u.Dim(0) != 5 || u.Dim(1) != 5 {
+		t.Fatalf("Randn shape = %v", u.Shape())
 	}
 	g := Randn(r, 1000)
 	if math.Abs(g.Mean()) > 0.2 {
@@ -133,19 +129,5 @@ func TestGlorotUniformBounds(t *testing.T) {
 	}
 	if w.Dim(0) != fanIn || w.Dim(1) != fanOut {
 		t.Fatalf("Glorot shape = %v", w.Shape())
-	}
-}
-
-func TestHeNormalScale(t *testing.T) {
-	r := NewRNG(12)
-	w := HeNormal(r, 100, 50)
-	std := math.Sqrt(2.0 / 100.0)
-	variance := 0.0
-	for _, v := range w.Data() {
-		variance += v * v
-	}
-	variance /= float64(w.Size())
-	if math.Abs(variance-std*std) > std*std*0.3 {
-		t.Fatalf("He variance = %v, want ~%v", variance, std*std)
 	}
 }

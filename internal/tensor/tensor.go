@@ -15,7 +15,7 @@ import (
 
 // Tensor is a dense, row-major tensor of float64 values.
 //
-// The zero value is not useful; construct tensors with New, Zeros, FromSlice
+// The zero value is not useful; construct tensors with New, FromSlice
 // or the random constructors in rand.go.
 type Tensor struct {
 	shape  []int
@@ -34,9 +34,6 @@ func New(shape ...int) *Tensor {
 	t.stride = computeStrides(t.shape)
 	return t
 }
-
-// Zeros is an alias of New provided for readability at call sites.
-func Zeros(shape ...int) *Tensor { return New(shape...) }
 
 // Ones allocates a tensor filled with 1.
 func Ones(shape ...int) *Tensor { return Full(1, shape...) }
@@ -163,30 +160,6 @@ func (t *Tensor) Reshape(shape ...int) *Tensor {
 		panic(fmt.Sprintf("tensor: cannot reshape %v (%d elems) to %v (%d elems)", t.shape, len(t.data), shape, n))
 	}
 	return &Tensor{shape: shape, stride: computeStrides(shape), data: t.data}
-}
-
-// Row returns a view of row i of a 2-D tensor, sharing storage.
-func (t *Tensor) Row(i int) *Tensor {
-	if len(t.shape) != 2 {
-		panic("tensor: Row requires a 2-D tensor")
-	}
-	if i < 0 || i >= t.shape[0] {
-		panic(fmt.Sprintf("tensor: row %d out of range for shape %v", i, t.shape))
-	}
-	cols := t.shape[1]
-	return FromSlice(t.data[i*cols:(i+1)*cols], 1, cols)
-}
-
-// SliceRows returns a view of rows [lo, hi) of a 2-D tensor, sharing storage.
-func (t *Tensor) SliceRows(lo, hi int) *Tensor {
-	if len(t.shape) != 2 {
-		panic("tensor: SliceRows requires a 2-D tensor")
-	}
-	if lo < 0 || hi > t.shape[0] || lo > hi {
-		panic(fmt.Sprintf("tensor: rows [%d,%d) out of range for shape %v", lo, hi, t.shape))
-	}
-	cols := t.shape[1]
-	return FromSlice(t.data[lo*cols:hi*cols], hi-lo, cols)
 }
 
 // Fill sets every element to v.

@@ -104,22 +104,6 @@ func TestReshapeBadSizePanics(t *testing.T) {
 	New(2, 3).Reshape(4, 2)
 }
 
-func TestRowAndSliceRowsViews(t *testing.T) {
-	x := FromSlice([]float64{1, 2, 3, 4, 5, 6}, 3, 2)
-	r := x.Row(1)
-	if r.At(0, 0) != 3 || r.At(0, 1) != 4 {
-		t.Fatalf("Row(1) = %v", r.Data())
-	}
-	s := x.SliceRows(1, 3)
-	if s.Dim(0) != 2 || s.At(1, 1) != 6 {
-		t.Fatalf("SliceRows(1,3) = %v", s.Data())
-	}
-	s.Set(-1, 0, 0)
-	if x.At(1, 0) != -1 {
-		t.Fatal("SliceRows should share storage")
-	}
-}
-
 func TestElementwiseOps(t *testing.T) {
 	a := FromSlice([]float64{1, 2, 3, 4}, 2, 2)
 	b := FromSlice([]float64{4, 3, 2, 1}, 2, 2)
@@ -131,9 +115,6 @@ func TestElementwiseOps(t *testing.T) {
 	}
 	if got := a.Mul(b).Sum(); got != 4+6+6+4 {
 		t.Fatalf("Mul sum = %v", got)
-	}
-	if got := a.Div(b).At(1, 1); got != 4 {
-		t.Fatalf("Div = %v", got)
 	}
 	if got := a.Scale(2).Sum(); got != 20 {
 		t.Fatalf("Scale sum = %v", got)
@@ -153,19 +134,10 @@ func TestShapeMismatchPanics(t *testing.T) {
 }
 
 func TestInPlaceOps(t *testing.T) {
-	a := FromSlice([]float64{1, 2}, 2)
-	b := FromSlice([]float64{10, 20}, 2)
-	a.AddInPlace(b)
-	if a.Data()[1] != 22 {
-		t.Fatalf("AddInPlace = %v", a.Data())
-	}
+	a := FromSlice([]float64{11, 22}, 2)
 	a.ScaleInPlace(0.5)
-	if a.Data()[0] != 5.5 {
+	if a.Data()[0] != 5.5 || a.Data()[1] != 11 {
 		t.Fatalf("ScaleInPlace = %v", a.Data())
-	}
-	a.ApplyInPlace(func(v float64) float64 { return -v })
-	if a.Data()[0] != -5.5 {
-		t.Fatalf("ApplyInPlace = %v", a.Data())
 	}
 }
 
@@ -198,17 +170,13 @@ func TestArgMaxRows(t *testing.T) {
 
 func TestSumRowsAndAddRowVector(t *testing.T) {
 	x := FromSlice([]float64{1, 2, 3, 4}, 2, 2)
-	s := x.SumRows()
+	s := x.SumRowsInto(Full(42, 1, 2)) // stale contents must be overwritten
 	if s.At(0, 0) != 4 || s.At(0, 1) != 6 {
-		t.Fatalf("SumRows = %v", s.Data())
+		t.Fatalf("SumRowsInto = %v", s.Data())
 	}
 	v := FromSlice([]float64{10, 20}, 2)
-	y := x.AddRowVector(v)
-	if y.At(0, 0) != 11 || y.At(1, 1) != 24 {
-		t.Fatalf("AddRowVector = %v", y.Data())
-	}
-	if x.At(0, 0) != 1 {
-		t.Fatal("AddRowVector must not mutate the receiver")
+	if y := x.AddRowVectorInPlace(v); y != x || x.At(0, 0) != 11 || x.At(1, 1) != 24 {
+		t.Fatalf("AddRowVectorInPlace = %v", x.Data())
 	}
 }
 
