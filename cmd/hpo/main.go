@@ -13,8 +13,7 @@
 //	hpo -space space.json [-algo grid] [-dataset mnist] [-samples 800]
 //	    [-model mlp] [-cores 1] [-parallel 8] [-workers 0] [-budget 20]
 //	    [-target 0] [-seed 1] [-pruner median] [-scheduler hyperband]
-//	    [-rung-mode async]
-//	    [-checkpoint study.json] [-visualise]
+//	    [-rung-mode async] [-visualise]
 //	    [-journal hpod.journal -study cli] [-trace out.prv] [-graph out.dot]
 //	    [-policy fifo] [-metrics-addr 127.0.0.1:9090]
 //
@@ -56,7 +55,6 @@ type options struct {
 	budget      int
 	target      float64
 	seed        uint64
-	checkpoint  string
 	journal     string
 	studyID     string
 	visualise   bool
@@ -92,8 +90,7 @@ func main() {
 	flag.IntVar(&o.budget, "budget", 20, "trial budget for random/bayes/tpe (grid ignores; hyperband: max epochs)")
 	flag.Float64Var(&o.target, "target", 0, "stop the study at this validation accuracy (0 = off)")
 	flag.Uint64Var(&o.seed, "seed", 1, "experiment seed")
-	flag.StringVar(&o.checkpoint, "checkpoint", "", "persist/resume finished trials at this JSON path")
-	flag.StringVar(&o.journal, "journal", "", "record trials into this hpod study journal instead of -checkpoint (enables cross-study memoization)")
+	flag.StringVar(&o.journal, "journal", "", "record trials into this hpod study journal; rerunning with the same -study resumes it (enables cross-study memoization)")
 	flag.StringVar(&o.studyID, "study", "cli", "study id within the -journal")
 	flag.BoolVar(&o.visualise, "visualise", false, "add visualisation + plot tasks (Figure-3 pipeline)")
 	flag.StringVar(&o.traceOut, "trace", "", "write a Paraver .prv trace here")
@@ -240,7 +237,6 @@ func run(o options) error {
 		Pruner:         pruner,
 		Scheduler:      scheduler,
 		Visualise:      o.visualise && o.workers == 0,
-		CheckpointPath: o.checkpoint,
 	}
 	if o.journal != "" {
 		journal, err := store.OpenJournal(o.journal, store.JournalOptions{})

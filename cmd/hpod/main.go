@@ -25,9 +25,7 @@
 // The journal is a sharded directory store (docs/JOURNAL.md): terminal
 // studies are compacted down to their summary records on -compact-interval
 // (or on demand via POST /v1/admin/compact), so boot replay stays fast no
-// matter how much per-epoch telemetry history the daemon has served. A
-// pre-shard single-file journal passed as -journal is migrated in place on
-// boot.
+// matter how much per-epoch telemetry history the daemon has served.
 //
 // The daemon is observable without auth on two endpoints: GET /healthz
 // (liveness + journal stats) and GET /metrics (Prometheus text exposition
@@ -92,7 +90,7 @@ func main() {
 	flag.IntVar(&o.workers, "workers", 2, "TCP workers per study for -backend remote")
 	flag.IntVar(&o.maxStudies, "max-studies", 2, "studies executing concurrently")
 	flag.DurationVar(&o.drain, "drain", 30*time.Second, "max wait for running studies on shutdown")
-	flag.StringVar(&o.migrate, "migrate", "", "import a legacy -checkpoint JSON file into the journal, then continue")
+	flag.StringVar(&o.migrate, "migrate", "", "import a legacy checkpoint JSON file into the journal, then continue")
 	flag.BoolVar(&o.noResume, "no-resume", false, "do not re-queue studies left running by a previous daemon")
 	flag.StringVar(&o.token, "token", "", "bearer token required on every endpoint except /healthz (empty = no auth)")
 	flag.StringVar(&o.tenants, "tenants", "",

@@ -1,7 +1,7 @@
 package hpo
 
 import (
-	"os"
+	"errors"
 	"path/filepath"
 	"strings"
 	"sync/atomic"
@@ -167,9 +167,24 @@ func TestStudyVisualisePipeline(t *testing.T) {
 	}
 }
 
+// openTestRecorder opens the journal at path for one study run, creating
+// study id on first use; the caller closes the journal after the run.
+func openTestRecorder(t *testing.T, path, id string) (*store.Journal, store.Recorder) {
+	t.Helper()
+	j, err := store.OpenJournal(path, store.JournalOptions{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := j.GetStudy(id); err != nil {
+		if err := j.CreateStudy(store.StudyMeta{ID: id}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return j, j.Recorder(id, "")
+}
+
 func TestStudyCheckpointResume(t *testing.T) {
-	dir := t.TempDir()
-	ckpt := filepath.Join(dir, "study.json")
+	path := filepath.Join(t.TempDir(), "study.journal")
 	space := tinySpace(t)
 
 	var calls atomic.Int32
@@ -182,12 +197,14 @@ func TestStudyCheckpointResume(t *testing.T) {
 		},
 	}
 	runStudy := func() *StudyResult {
+		j, rec := openTestRecorder(t, path, "resume")
+		defer j.Close()
 		rt := newStudyRuntime(t, 2)
 		defer rt.Shutdown()
 		st, err := NewStudy(StudyOptions{
 			Sampler: NewGridSearch(space), Objective: obj, Runtime: rt,
-			Constraint:     runtime.Constraint{Cores: 1},
-			CheckpointPath: ckpt,
+			Constraint: runtime.Constraint{Cores: 1},
+			Recorder:   rec,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -203,9 +220,6 @@ func TestStudyCheckpointResume(t *testing.T) {
 	if first.Resumed != 0 || calls.Load() != 4 {
 		t.Fatalf("first run: resumed=%d calls=%d", first.Resumed, calls.Load())
 	}
-	if _, err := os.Stat(ckpt); err != nil {
-		t.Fatalf("checkpoint not written: %v", err)
-	}
 
 	second := runStudy()
 	if second.Resumed != 4 {
@@ -217,7 +231,7 @@ func TestStudyCheckpointResume(t *testing.T) {
 	if len(second.Trials) != 4 || second.Best == nil {
 		t.Fatalf("resumed result incomplete: %d trials", len(second.Trials))
 	}
-	// Accuracy curves survive the JSON round trip.
+	// Accuracy curves survive the journal round trip.
 	for _, tr := range second.Trials {
 		if len(tr.ValAccHistory) != 2 {
 			t.Fatalf("trial %d history = %v", tr.ID, tr.ValAccHistory)
@@ -226,8 +240,7 @@ func TestStudyCheckpointResume(t *testing.T) {
 }
 
 func TestCheckpointSkipsFailures(t *testing.T) {
-	dir := t.TempDir()
-	ckpt := filepath.Join(dir, "study.json")
+	path := filepath.Join(t.TempDir(), "study.journal")
 	space := tinySpace(t)
 
 	var attempt atomic.Int32
@@ -242,11 +255,13 @@ func TestCheckpointSkipsFailures(t *testing.T) {
 		},
 	}
 	runStudy := func() *StudyResult {
+		j, rec := openTestRecorder(t, path, "flaky")
+		defer j.Close()
 		rt := newStudyRuntime(t, 1)
 		defer rt.Shutdown()
 		st, _ := NewStudy(StudyOptions{
 			Sampler: NewGridSearch(space), Objective: obj, Runtime: rt,
-			Constraint: runtime.Constraint{Cores: 1}, CheckpointPath: ckpt,
+			Constraint: runtime.Constraint{Cores: 1}, Recorder: rec,
 		})
 		res, err := st.Run()
 		if err != nil {
@@ -276,23 +291,26 @@ func TestCheckpointSkipsFailures(t *testing.T) {
 	}
 }
 
+// failingRecorder is a Recorder whose Load always fails, standing in for
+// an unreadable persisted study.
+type failingRecorder struct{ err error }
+
+func (r failingRecorder) Load() ([]store.Trial, error) { return nil, r.err }
+func (failingRecorder) Record([]store.Trial) error     { return nil }
+
 func TestCheckpointRejectsGarbage(t *testing.T) {
-	dir := t.TempDir()
-	ckpt := filepath.Join(dir, "study.json")
-	if err := os.WriteFile(ckpt, []byte("not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
 	rt := newStudyRuntime(t, 1)
 	defer rt.Shutdown()
 	obj := &FuncObjective{ObjName: "x", Fn: func(ObjectiveContext) (TrialMetrics, error) {
 		return TrialMetrics{}, nil
 	}}
+	loadErr := errors.New("unreadable study")
 	st, _ := NewStudy(StudyOptions{
 		Sampler: NewGridSearch(tinySpace(t)), Objective: obj, Runtime: rt,
-		Constraint: runtime.Constraint{Cores: 1}, CheckpointPath: ckpt,
+		Constraint: runtime.Constraint{Cores: 1}, Recorder: failingRecorder{loadErr},
 	})
-	if _, err := st.Run(); err == nil {
-		t.Fatal("expected error for corrupt checkpoint")
+	if _, err := st.Run(); !errors.Is(err, loadErr) {
+		t.Fatalf("Run = %v, want the recorder's Load error", err)
 	}
 }
 

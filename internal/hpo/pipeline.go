@@ -67,10 +67,10 @@ func (s *Study) registerPipeline() error {
 // dropped so they rerun.
 func (s *Study) loadCheckpoint() (map[string]TrialResult, error) {
 	out := map[string]TrialResult{}
-	if s.recorder == nil {
+	if s.opts.Recorder == nil {
 		return out, nil
 	}
-	stored, err := s.recorder.Load()
+	stored, err := s.opts.Recorder.Load()
 	if err != nil {
 		return nil, err
 	}
@@ -95,9 +95,9 @@ func (s *Study) loadCheckpoint() (map[string]TrialResult, error) {
 
 // recordRound persists one round of finished results through the Recorder.
 // Recorders dedup already-persisted trials, so passing resumed copies is
-// harmless (and keeps file checkpoints complete).
+// harmless.
 func (s *Study) recordRound(round []TrialResult) error {
-	if s.recorder == nil {
+	if s.opts.Recorder == nil {
 		return nil
 	}
 	// Terminal trial records join the same total order as metric and
@@ -106,13 +106,13 @@ func (s *Study) recordRound(round []TrialResult) error {
 	// observation→decision window.
 	s.decisionMu.Lock()
 	defer s.decisionMu.Unlock()
-	return s.recorder.Record(toStoreTrials(round))
+	return s.opts.Recorder.Record(toStoreTrials(round))
 }
 
 // memoLookup consults the recorder's cross-study memo index, when it has
 // one, for a finished result with an identical config fingerprint.
 func (s *Study) memoLookup(fingerprint string) (TrialResult, bool) {
-	m, ok := s.recorder.(store.Memoizer)
+	m, ok := s.opts.Recorder.(store.Memoizer)
 	if !ok {
 		return TrialResult{}, false
 	}

@@ -126,14 +126,9 @@ type StudyOptions struct {
 	// final plot task aggregates them; the plot output lands in
 	// StudyResult.Plot. Real backend only.
 	Visualise bool
-	// CheckpointPath, when non-empty, persists finished trials as JSON
-	// after every round and resumes from it on the next Run — master-side
-	// fault tolerance complementing the runtime's task retries. Shorthand
-	// for Recorder = store.NewFileRecorder(path); ignored when Recorder is
-	// set.
-	CheckpointPath string
 	// Recorder, when non-nil, persists finished trials after every round
-	// and restores them on the next Run. A journal-backed recorder
+	// and restores them on the next Run — master-side fault tolerance
+	// complementing the runtime's task retries. A journal-backed recorder
 	// (store.Journal.Recorder) additionally memoizes (configs already
 	// solved by any persisted study return their cached result instead of
 	// re-executing) and journals intermediate epoch metrics and prune
@@ -149,8 +144,7 @@ type StudyOptions struct {
 // report handler, which feeds OnEpoch observers, the journal's metric
 // events, target-accuracy early stopping and the pruner.
 type Study struct {
-	opts     StudyOptions
-	recorder store.Recorder
+	opts StudyOptions
 	// telemetry is the recorder's optional metric/prune sink.
 	telemetry store.MetricRecorder
 
@@ -195,14 +189,10 @@ func NewStudy(opts StudyOptions) (*Study, error) {
 	if opts.Scheduler != nil && opts.Pruner != nil {
 		return nil, errors.New("hpo: Scheduler and Pruner are mutually exclusive (the scheduler already halts rung losers)")
 	}
-	rec := opts.Recorder
-	if rec == nil && opts.CheckpointPath != "" {
-		rec = store.NewFileRecorder(opts.CheckpointPath)
-	}
-	s := &Study{opts: opts, recorder: rec,
+	s := &Study{opts: opts,
 		byTask: make(map[int]*Trial), byID: make(map[int]*Trial),
 		granted: make(map[int]int), baseBudget: make(map[int]int)}
-	if mr, ok := rec.(store.MetricRecorder); ok {
+	if mr, ok := opts.Recorder.(store.MetricRecorder); ok {
 		s.telemetry = mr
 	}
 	return s, nil

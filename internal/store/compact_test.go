@@ -422,82 +422,21 @@ func TestMetricAppendsDoNotRotate(t *testing.T) {
 	}
 }
 
-// TestLegacyJournalMigratesOnOpen: opening a pre-shard single-file journal
-// converts it to the directory layout with nothing lost, keeps the
-// original bytes as a backup, and reopens cleanly.
-func TestLegacyJournalMigratesOnOpen(t *testing.T) {
+// TestOpenJournalRejectsFile: a regular file at the journal path — such as
+// a pre-shard single-file journal — is refused as corrupt, and its bytes
+// are left exactly as they were.
+func TestOpenJournalRejectsFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "hpod.journal")
-	legacy := strings.Join([]string{
-		`{"seq":1,"type":"study","study_id":"a","study":{"id":"a","name":"alpha","state":"created","created_at":"2026-01-01T00:00:00Z","updated_at":"2026-01-01T00:00:00Z"}}`,
-		`{"seq":2,"type":"state","study_id":"a","state":"running"}`,
-		`{"seq":3,"type":"metric","study_id":"a","metric":{"trial_id":0,"epoch":0,"value":0.4}}`,
-		`{"seq":4,"type":"trial","study_id":"a","trial":{"id":0,"config":{"num_epochs":2},"final_acc":0.6,"best_acc":0.6,"epochs":2}}`,
-		`{"seq":5,"type":"study","study_id":"b","study":{"id":"b","state":"created","created_at":"2026-01-02T00:00:00Z","updated_at":"2026-01-02T00:00:00Z"}}`,
-		`{"seq":6,"type":"state","study_id":"a","state":"done","summary":{"Trials":1,"Resumed":0,"Memoized":0,"BestAcc":0.6}}`,
-	}, "\n") + "\n"
-	if err := os.WriteFile(path, []byte(legacy), 0o644); err != nil {
+	legacy := []byte(`{"seq":1,"type":"study","study_id":"a","study":{"id":"a","state":"created"}}` + "\n")
+	if err := os.WriteFile(path, legacy, 0o644); err != nil {
 		t.Fatal(err)
 	}
-
-	j := openTestJournal(t, path)
-	metas := j.ListStudies()
-	if len(metas) != 2 || metas[0].ID != "a" || metas[1].ID != "b" {
-		t.Fatalf("migrated studies = %+v", metas)
+	if _, err := OpenJournal(path, JournalOptions{NoSync: true}); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("OpenJournal on a file = %v, want ErrCorrupt", err)
 	}
-	if metas[0].State != StateDone || metas[0].Name != "alpha" || metas[0].Trials != 1 {
-		t.Fatalf("study a after migration = %+v", metas[0])
-	}
-	trials, err := j.StudyTrials("a")
-	if err != nil || len(trials) != 1 || trials[0].FinalAcc != 0.6 {
-		t.Fatalf("migrated trials = %+v, %v", trials, err)
-	}
-	// New writes land in the sharded layout.
-	if err := j.AppendTrials("b", []Trial{mkTrial(0, 3, 0.7)}); err != nil {
-		t.Fatal(err)
-	}
-	j.Close()
-
-	fi, err := os.Stat(path)
-	if err != nil || !fi.IsDir() {
-		t.Fatalf("journal path is not a directory after migration: %v", err)
-	}
-	if _, err := os.Stat(filepath.Join(path, legacyBackup)); err != nil {
-		t.Fatalf("legacy backup missing: %v", err)
-	}
-	j2 := openTestJournal(t, path)
-	defer j2.Close()
-	if trials, _ := j2.StudyTrials("b"); len(trials) != 1 {
-		t.Fatalf("post-migration append lost: %+v", trials)
-	}
-}
-
-// TestMigrationAdoptsInterruptedStaging: a crash between the migration's
-// two commit renames leaves a fully built staging directory and no journal
-// path; the next open must adopt it rather than starting empty.
-func TestMigrationAdoptsInterruptedStaging(t *testing.T) {
-	tmp := t.TempDir()
-	path := filepath.Join(tmp, "j")
-	// Build a valid journal dir, then shove it into the staging position.
-	j := openTestJournal(t, path)
-	if err := j.CreateStudy(StudyMeta{ID: "a"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.AppendTrials("a", []Trial{mkTrial(0, 2, 0.5)}); err != nil {
-		t.Fatal(err)
-	}
-	j.Close()
-	if err := os.Rename(path, path+migratingSuffix); err != nil {
-		t.Fatal(err)
-	}
-
-	j2 := openTestJournal(t, path)
-	defer j2.Close()
-	trials, err := j2.StudyTrials("a")
-	if err != nil || len(trials) != 1 {
-		t.Fatalf("adopted staging lost data: %v, %v", trials, err)
-	}
-	if _, err := os.Stat(path + migratingSuffix); !os.IsNotExist(err) {
-		t.Fatalf("staging dir still present after adoption: %v", err)
+	got, err := os.ReadFile(path)
+	if err != nil || !bytes.Equal(got, legacy) {
+		t.Fatalf("refused file changed: %q (%v)", got, err)
 	}
 }
 

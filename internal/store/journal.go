@@ -200,13 +200,13 @@ type Journal struct {
 }
 
 // OpenJournal opens (or creates) the sharded journal directory at path and
-// replays it into memory. A legacy single-file journal at path is migrated
-// to the sharded layout first (the original bytes are preserved inside the
-// directory as legacy.jsonl.bak). The store is flock'd exclusively — a
-// second process opening the same journal gets ErrLocked rather than
-// silently interleaving writes. A partially written final record in a
-// study's active segment — the signature of a crash mid append — is
-// detected and truncated away; corruption anywhere else returns ErrCorrupt.
+// replays it into memory. A regular file at path — such as a pre-shard
+// single-file journal — is refused with ErrCorrupt and left untouched. The
+// store is flock'd exclusively — a second process opening the same journal
+// gets ErrLocked rather than silently interleaving writes. A partially
+// written final record in a study's active segment — the signature of a
+// crash mid append — is detected and truncated away; corruption anywhere
+// else returns ErrCorrupt.
 func OpenJournal(path string, opts JournalOptions) (*Journal, error) {
 	j := &Journal{
 		dir:        path,
@@ -228,18 +228,13 @@ func OpenJournal(path string, opts JournalOptions) (*Journal, error) {
 	}
 	fi, err := os.Stat(path)
 	switch {
-	case err == nil && fi.IsDir():
-		// Already sharded.
-	case err == nil:
-		// Legacy single-file journal: migrate in place.
-		if err := migrateLegacyJournal(path, opts.NoSync); err != nil {
-			return nil, err
-		}
+	case err == nil && !fi.IsDir():
+		return nil, fmt.Errorf("%w: %s is not a journal directory", ErrCorrupt, path)
 	case os.IsNotExist(err):
-		if err := adoptOrInitDir(path, opts.NoSync); err != nil {
-			return nil, err
+		if err := os.MkdirAll(filepath.Join(path, studiesDirName), 0o755); err != nil {
+			return nil, fmt.Errorf("store: creating journal dir: %w", err)
 		}
-	default:
+	case err != nil:
 		return nil, fmt.Errorf("store: stat journal: %w", err)
 	}
 	lf, err := os.OpenFile(filepath.Join(path, lockName), os.O_CREATE|os.O_WRONLY, 0o644)
@@ -299,31 +294,6 @@ func resolveMaxOpen(n int) int {
 		return 0
 	}
 	return n
-}
-
-// adoptOrInitDir handles Open on a path that does not exist: either a
-// migration crashed between its two directory renames (the fully built
-// ".migrating" staging dir exists — adopt it), or this is a fresh journal.
-func adoptOrInitDir(path string, noSync bool) error {
-	staging := path + migratingSuffix
-	_, ok, err := readManifest(staging)
-	if err != nil {
-		// The staging dir exists but its manifest is damaged or from an
-		// unknown version: it may hold the only copy of migrated data
-		// (including the legacy backup), so surface the problem instead of
-		// silently booting an empty journal over it.
-		return fmt.Errorf("interrupted migration at %s unreadable: %w", staging, err)
-	}
-	if ok {
-		if err := os.Rename(staging, path); err != nil {
-			return fmt.Errorf("store: adopting interrupted migration: %w", err)
-		}
-		return syncDir(filepath.Dir(path), noSync)
-	}
-	if err := os.MkdirAll(filepath.Join(path, studiesDirName), 0o755); err != nil {
-		return fmt.Errorf("store: creating journal dir: %w", err)
-	}
-	return nil
 }
 
 // replay loads every manifest-listed segment into the index. Per study,
@@ -394,41 +364,16 @@ func (j *Journal) replayStudy(ms manifestStudy) ([]record, *studySegments, error
 	}
 	nums := append([]int(nil), ms.Segments...)
 	sort.Ints(nums)
-	ss := &studySegments{nums: nums}
-	var recs []record
-	for i, n := range nums {
-		path := filepath.Join(dir, segmentFileName(n))
-		active := i == len(nums)-1
-		raw, err := os.ReadFile(path)
-		if os.IsNotExist(err) {
-			if active {
-				// Listed but never created: a crash between the manifest
-				// commit and the first write. An empty segment. Only the
-				// active segment can be in this state — sealed segments
-				// were fsynced before their manifest commit, so a missing
-				// one is lost acknowledged data, not a crash artifact.
-				continue
-			}
-			return nil, nil, fmt.Errorf("%w: sealed segment missing: %s", ErrCorrupt, path)
-		}
-		if err != nil {
-			return nil, nil, fmt.Errorf("store: reading segment: %w", err)
-		}
-		rs, good, err := parseSegment(raw, path, active)
-		if err != nil {
-			return nil, nil, err
-		}
-		if active {
-			if good < len(raw) {
-				if err := os.Truncate(path, int64(good)); err != nil {
-					return nil, nil, fmt.Errorf("store: truncating torn segment tail: %w", err)
-				}
-			}
-			ss.size = int64(good)
-		}
-		recs = append(recs, rs...)
+	recs, size, torn, err := readStudySegments(dir, nums)
+	if err != nil {
+		return nil, nil, err
 	}
-	ss.recs = len(recs)
+	if torn {
+		if err := os.Truncate(filepath.Join(dir, segmentFileName(nums[len(nums)-1])), size); err != nil {
+			return nil, nil, fmt.Errorf("store: truncating torn segment tail: %w", err)
+		}
+	}
+	ss := &studySegments{nums: nums, size: size, recs: len(recs)}
 	terminal := false
 	for _, rec := range recs {
 		if rec.Seq > ss.lastSeq {
@@ -460,6 +405,22 @@ func (j *Journal) replayStudy(ms manifestStudy) ([]record, *studySegments, error
 	return recs, ss, nil
 }
 
+// applyState folds a state record's fields into the study's metadata.
+func (m *StudyMeta) applyState(rec record) {
+	m.State = rec.State
+	m.Error = rec.Error
+	m.UpdatedAt = rec.At
+	if rec.Summary != nil {
+		m.Trials = rec.Summary.Trials
+		m.Resumed = rec.Summary.Resumed
+		m.Memoized = rec.Summary.Memoized
+		m.BestAcc = rec.Summary.BestAcc
+		if rec.Summary.Epochs > 0 || rec.State.Terminal() {
+			m.EpochsExecuted = rec.Summary.Epochs
+		}
+	}
+}
+
 // apply folds one record into the in-memory index and the study's event
 // window.
 func (j *Journal) apply(rec record) {
@@ -482,18 +443,7 @@ func (j *Journal) apply(rec record) {
 		if !ok {
 			return
 		}
-		meta.State = rec.State
-		meta.Error = rec.Error
-		meta.UpdatedAt = rec.At
-		if rec.Summary != nil {
-			meta.Trials = rec.Summary.Trials
-			meta.Resumed = rec.Summary.Resumed
-			meta.Memoized = rec.Summary.Memoized
-			meta.BestAcc = rec.Summary.BestAcc
-			if rec.Summary.Epochs > 0 || rec.State.Terminal() {
-				meta.EpochsExecuted = rec.Summary.Epochs
-			}
-		}
+		meta.applyState(rec)
 		if rec.State.Terminal() {
 			if rec.Summary == nil {
 				// Pre-epoch-accounting journals end runs without a summary
@@ -1186,38 +1136,58 @@ func (j *Journal) StudyRecords(id string) ([]StudyRecord, error) {
 	// Read under j.mu: rotation and compaction also mutate the segment
 	// table under this lock, so the listed files cannot change underneath
 	// the reads (a study's live segments are small by construction).
-	dir := studyDir(j.dir, id)
-	var recs []record
-	for i, n := range ss.nums {
-		active := i == len(ss.nums)-1
-		raw, err := os.ReadFile(filepath.Join(dir, segmentFileName(n)))
+	recs, _, _, err := readStudySegments(studyDir(j.dir, id), ss.nums)
+	j.mu.Unlock()
+	if err != nil {
+		return nil, err
+	}
+	return studyRecords(recs), nil
+}
+
+// readStudySegments reads the listed segments of one study directory and
+// returns their records in sequence order, plus the intact byte length of
+// the active (last listed) segment and whether a torn tail follows it.
+// Only the active segment may carry a torn tail — a crashed append — or be
+// missing: listed but never created, a crash between the manifest commit
+// and the first write. Sealed segments were fsynced before their manifest
+// commit, so a missing one is lost acknowledged data: ErrCorrupt.
+func readStudySegments(dir string, nums []int) (recs []record, size int64, torn bool, err error) {
+	for i, n := range nums {
+		active := i == len(nums)-1
+		path := filepath.Join(dir, segmentFileName(n))
+		raw, err := os.ReadFile(path)
 		if os.IsNotExist(err) {
 			if active {
-				continue // listed but never written (no records yet)
+				continue
 			}
-			j.mu.Unlock()
-			return nil, fmt.Errorf("%w: sealed segment missing: %s", ErrCorrupt, segmentFileName(n))
+			return nil, 0, false, fmt.Errorf("%w: sealed segment missing: %s", ErrCorrupt, path)
 		}
 		if err != nil {
-			j.mu.Unlock()
-			return nil, fmt.Errorf("store: reading segment: %w", err)
+			return nil, 0, false, fmt.Errorf("store: reading segment: %w", err)
 		}
-		rs, _, err := parseSegment(raw, filepath.Join(dir, segmentFileName(n)), active)
+		rs, good, err := parseSegment(raw, path, active)
 		if err != nil {
-			j.mu.Unlock()
-			return nil, err
+			return nil, 0, false, err
+		}
+		if active {
+			size, torn = int64(good), good < len(raw)
 		}
 		recs = append(recs, rs...)
 	}
-	j.mu.Unlock()
 	sort.SliceStable(recs, func(a, b int) bool { return recs[a].Seq < recs[b].Seq })
+	return recs, size, torn, nil
+}
+
+// studyRecords converts raw journal records to the StudyRecord stream,
+// dropping state records that carry no state.
+func studyRecords(recs []record) []StudyRecord {
 	out := make([]StudyRecord, 0, len(recs))
 	for _, rec := range recs {
-		sr := StudyRecord{Seq: rec.Seq, Type: rec.Type, At: rec.At, State: rec.State,
-			Metric: rec.Metric, Prune: rec.Prune, Promote: rec.Promote}
 		if rec.Type == recState && rec.State == "" {
 			continue
 		}
+		sr := StudyRecord{Seq: rec.Seq, Type: rec.Type, At: rec.At, State: rec.State,
+			Metric: rec.Metric, Prune: rec.Prune, Promote: rec.Promote}
 		if rec.Type == recStudy && rec.Study != nil {
 			sr.State = rec.Study.State
 		}
@@ -1228,7 +1198,7 @@ func (j *Journal) StudyRecords(id string) ([]StudyRecord, error) {
 		}
 		out = append(out, sr)
 	}
-	return out, nil
+	return out
 }
 
 // LookupMemo returns the first successful trial recorded for a config

@@ -4,22 +4,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"sync"
 )
 
 // checkpointFile is the JSON schema of a legacy single-study checkpoint —
-// the format internal/hpo wrote before the journal existed. FileRecorder
-// keeps reading and writing it so `-checkpoint study.json` workflows are
-// unchanged.
+// the format internal/hpo wrote before the journal existed. Only
+// MigrateCheckpoint (`hpod -migrate`) reads it; nothing writes it.
 type checkpointFile struct {
 	Version int     `json:"version"`
 	Trials  []Trial `json:"trials"`
-}
-
-// EncodeCheckpoint renders trials in the legacy checkpoint file format.
-func EncodeCheckpoint(trials []Trial) ([]byte, error) {
-	f := checkpointFile{Version: 1, Trials: trials}
-	return json.MarshalIndent(f, "", "  ")
 }
 
 // DecodeCheckpoint parses the legacy checkpoint file format, restoring
@@ -39,79 +31,6 @@ func DecodeCheckpoint(raw []byte) ([]Trial, error) {
 		out = append(out, t)
 	}
 	return out, nil
-}
-
-// FileRecorder persists one study's trials as a single JSON checkpoint
-// file, atomically rewritten after every Record — the journal-less
-// fallback. It implements Recorder.
-type FileRecorder struct {
-	mu   sync.Mutex
-	path string
-	all  []Trial
-	seen map[string]bool // successful fingerprints, for Record dedup
-}
-
-// NewFileRecorder builds a file recorder at path; the file is created on
-// the first Record.
-func NewFileRecorder(path string) *FileRecorder {
-	return &FileRecorder{path: path, seen: make(map[string]bool)}
-}
-
-// Load implements Recorder: a missing file is an empty checkpoint.
-func (r *FileRecorder) Load() ([]Trial, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	raw, err := os.ReadFile(r.path)
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("store: reading checkpoint: %w", err)
-	}
-	trials, err := DecodeCheckpoint(raw)
-	if err != nil {
-		return nil, err
-	}
-	// Keep only the restart-relevant state: successful trials survive,
-	// failures and cancellations are rerun (and rewritten) by the study.
-	r.all = r.all[:0]
-	for _, t := range trials {
-		if !t.Succeeded() {
-			continue
-		}
-		r.all = append(r.all, t)
-		r.seen[t.Fingerprint] = true
-	}
-	return trials, nil
-}
-
-// Record implements Recorder: append new trials and atomically rewrite the
-// checkpoint file (write-temp + rename, so a crash mid-write never corrupts
-// the previous checkpoint). Trials already persisted with success are
-// skipped, so resumed rounds are idempotent.
-func (r *FileRecorder) Record(trials []Trial) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, t := range trials {
-		t = t.sanitize()
-		t.Fingerprint = fingerprintOf(t)
-		if r.seen[t.Fingerprint] {
-			continue
-		}
-		r.all = append(r.all, t)
-		if t.Succeeded() {
-			r.seen[t.Fingerprint] = true
-		}
-	}
-	raw, err := EncodeCheckpoint(r.all)
-	if err != nil {
-		return err
-	}
-	tmp := r.path + ".tmp"
-	if err := os.WriteFile(tmp, raw, 0o644); err != nil {
-		return fmt.Errorf("store: writing checkpoint: %w", err)
-	}
-	return os.Rename(tmp, r.path)
 }
 
 // journalRecorder adapts one study of a Journal to the Recorder interface

@@ -16,19 +16,17 @@ import (
 //	<dir>/
 //	  MANIFEST.json          commit point: the set of live segments per study
 //	  LOCK                   flock'd single-writer guard
-//	  legacy.jsonl.bak       pre-shard journal, kept after migration
 //	  studies/<id>/segment-NNNNNN.jsonl
 //
-// Records are the same JSONL lines the single-file format used; segments
-// partition them by study. The manifest is rewritten atomically (write temp
-// + rename + fsync) and is the source of truth for which segment files are
-// live: a segment present on disk but absent from the manifest is a
-// leftover from a crashed compaction and is deleted on open.
+// Records are JSONL lines; segments partition them by study. The manifest
+// is rewritten atomically (write temp + rename + fsync) and is the source
+// of truth for which segment files are live: a segment present on disk but
+// absent from the manifest is a leftover from a crashed compaction and is
+// deleted on open.
 
 const (
 	manifestName   = "MANIFEST.json"
 	lockName       = "LOCK"
-	legacyBackup   = "legacy.jsonl.bak"
 	studiesDirName = "studies"
 	// manifestVersion is bumped on incompatible layout changes; Open refuses
 	// versions it does not know.

@@ -2,9 +2,7 @@ package store
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
-	"sort"
+	"slices"
 )
 
 // Snapshot reading: a read-only view of one study's record stream taken
@@ -13,12 +11,10 @@ import (
 // — `hpo replay` must be able to re-derive a study's decisions while the
 // daemon still holds the directory's LOCK.
 //
-// The snapshot is torn-tail tolerant on the active (highest-numbered)
-// segment only, exactly like Journal.StudyRecords: a half-flushed final
-// line is in-flight, not corruption. Because the writer may rotate or
-// compact segments between our manifest read and the file reads, a
-// missing sealed segment triggers one full retry from the manifest before
-// it is reported as corruption.
+// Segments are read exactly like Journal.StudyRecords (readStudySegments).
+// Because the writer may rotate or compact segments between our manifest
+// read and the file reads, a missing sealed segment triggers one full
+// retry from the manifest before it is reported as corruption.
 
 // SnapshotStudyRecords reads one study's records from the journal
 // directory at dir without acquiring the journal lock. It returns the
@@ -47,45 +43,15 @@ func snapshotOnce(dir, id string) (StudyMeta, []StudyRecord, error) {
 	if !ok {
 		return StudyMeta{}, nil, fmt.Errorf("%w: no journal at %s", ErrNotFound, dir)
 	}
-	var segs []int
-	found := false
-	for _, ms := range m.Studies {
-		if ms.ID == id {
-			segs, found = ms.Segments, true
-			break
-		}
-	}
-	if !found {
+	i := slices.IndexFunc(m.Studies, func(ms manifestStudy) bool { return ms.ID == id })
+	if i < 0 {
 		return StudyMeta{}, nil, fmt.Errorf("%w: %s", ErrNotFound, id)
 	}
-
-	sdir := studyDir(dir, id)
-	var recs []record
-	for i, n := range segs {
-		active := i == len(segs)-1
-		path := filepath.Join(sdir, segmentFileName(n))
-		raw, err := os.ReadFile(path)
-		if os.IsNotExist(err) {
-			if active {
-				continue // listed but never written (no records yet)
-			}
-			// The writer may have compacted this segment away after we
-			// read the manifest; the caller retries from a fresh manifest.
-			return StudyMeta{}, nil, fmt.Errorf("%w: sealed segment missing: %s", ErrCorrupt, segmentFileName(n))
-		}
-		if err != nil {
-			return StudyMeta{}, nil, fmt.Errorf("store: reading segment: %w", err)
-		}
-		rs, _, err := parseSegment(raw, path, active)
-		if err != nil {
-			return StudyMeta{}, nil, err
-		}
-		recs = append(recs, rs...)
+	recs, _, _, err := readStudySegments(studyDir(dir, id), m.Studies[i].Segments)
+	if err != nil {
+		return StudyMeta{}, nil, err
 	}
-	sort.SliceStable(recs, func(a, b int) bool { return recs[a].Seq < recs[b].Seq })
-
 	meta := StudyMeta{ID: id}
-	out := make([]StudyRecord, 0, len(recs))
 	for _, rec := range recs {
 		// Fold study/state records into the meta exactly like the journal's
 		// in-memory index (Journal.apply).
@@ -99,36 +65,11 @@ func snapshotOnce(dir, id string) (StudyMeta, []StudyRecord, error) {
 			}
 		case recState:
 			if rec.State != "" {
-				meta.State = rec.State
-				meta.Error = rec.Error
-				meta.UpdatedAt = rec.At
-				if rec.Summary != nil {
-					meta.Trials = rec.Summary.Trials
-					meta.Resumed = rec.Summary.Resumed
-					meta.Memoized = rec.Summary.Memoized
-					meta.BestAcc = rec.Summary.BestAcc
-					if rec.Summary.Epochs > 0 || rec.State.Terminal() {
-						meta.EpochsExecuted = rec.Summary.Epochs
-					}
-				}
+				meta.applyState(rec)
 			}
 		default:
 			// Trial/metric/prune/promote records carry no study meta.
 		}
-		sr := StudyRecord{Seq: rec.Seq, Type: rec.Type, At: rec.At, State: rec.State,
-			Metric: rec.Metric, Prune: rec.Prune, Promote: rec.Promote}
-		if rec.Type == recState && rec.State == "" {
-			continue
-		}
-		if rec.Type == recStudy && rec.Study != nil {
-			sr.State = rec.Study.State
-		}
-		if rec.Trial != nil {
-			t := decodeTrialHistory(*rec.Trial)
-			t.Config = NormaliseConfig(t.Config)
-			sr.Trial = &t
-		}
-		out = append(out, sr)
 	}
-	return meta, out, nil
+	return meta, studyRecords(recs), nil
 }

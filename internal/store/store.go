@@ -5,11 +5,9 @@
 // in-memory index rebuilt on Open. Terminal studies are compactable down
 // to their summary records (Compact), so a long-lived daemon's boot-replay
 // time scales with live studies rather than total history; the on-disk
-// format is specified normatively in docs/JOURNAL.md. The package also
-// subsumes the legacy single-study checkpoint file format (FileRecorder)
-// so hpo.Study checkpointing goes through one narrow Recorder interface
-// regardless of backing storage, and it transparently migrates pre-shard
-// single-file journals to the directory layout on Open.
+// format is specified normatively in docs/JOURNAL.md. hpo.Study
+// checkpointing goes through one narrow Recorder interface, which the
+// Journal implements per study.
 //
 // The Journal additionally indexes every successful trial by its config
 // fingerprint, so identical configurations — within a study or across
