@@ -63,18 +63,34 @@ func TestDenseBackwardParamsOnlyMatchesBackward(t *testing.T) {
 	}
 }
 
-// benchConv builds the Conv2D used by the forward/backward benchmarks:
-// 8×8×3 input, 3×3 kernel, 8 filters, batch 32.
-func benchConv(b *testing.B) (*Conv2D, *tensor.Tensor) {
-	b.Helper()
+// benchConv builds the Conv2D used by the forward/backward benchmarks and
+// the allocation guard: 8×8×3 input, 3×3 kernel, 8 filters, batch 32.
+func benchConv(tb testing.TB) (*Conv2D, *tensor.Tensor) {
+	tb.Helper()
 	r := tensor.NewRNG(1)
 	c := NewConv2D(r, 8, 8, 3, 3, 3, 8)
 	x := tensor.Randn(r, 32, 8*8*3)
 	return c, x
 }
 
+// TestConv2DSteadyStateAllocs pins the allocation contract of
+// docs/PERFORMANCE.md: once the scratch buffers are warm, Conv2D allocates
+// only small tensor headers per call, never a data buffer.
+func TestConv2DSteadyStateAllocs(t *testing.T) {
+	c, x := benchConv(t)
+	out := c.Forward(x, true) // warm the scratch buffers
+	grad := tensor.Randn(tensor.NewRNG(2), out.Dim(0), out.Dim(1))
+	c.Backward(grad)
+	if n := testing.AllocsPerRun(20, func() { c.Forward(x, true) }); n > 2 {
+		t.Errorf("Conv2D.Forward: %.1f allocs per call, want at most 2", n)
+	}
+	if n := testing.AllocsPerRun(20, func() { c.Backward(grad) }); n > 7 {
+		t.Errorf("Conv2D.Backward: %.1f allocs per call, want at most 7", n)
+	}
+}
+
 // BenchmarkConv2DForward tracks ns/op and allocs/op of the im2col+GEMM
-// forward path; steady-state iterations should allocate nothing.
+// forward path; steady-state iterations allocate no data buffers.
 func BenchmarkConv2DForward(b *testing.B) {
 	c, x := benchConv(b)
 	c.Forward(x, true) // warm the scratch buffers

@@ -1,9 +1,10 @@
 // Package paperrepro regenerates every table and figure of the paper's
-// evaluation (§5-§6) plus the ablations called out in DESIGN.md. Each
-// Figure*/Ablation* function runs the corresponding experiment end-to-end —
-// node-scale runs on the discrete-event simulator with the calibrated cost
-// model, training-accuracy runs with real training on the goroutine backend
-// — and returns a result whose String() prints the same rows/series the
+// evaluation (§5-§6) plus the ablations that cmd/experiments prints
+// (`experiments -fig all`). Each Figure*/Ablation* function runs the
+// corresponding experiment end-to-end — node-scale runs on the
+// discrete-event simulator with the calibrated cost model,
+// training-accuracy runs with real training on the goroutine backend —
+// and returns a result whose String() prints the same rows/series the
 // paper reports.
 package paperrepro
 

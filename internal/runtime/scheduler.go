@@ -8,8 +8,8 @@ import (
 )
 
 // Policy selects the order in which ready tasks are considered and how nodes
-// are chosen, the design axis the scheduler ablation (DESIGN.md A1)
-// measures.
+// are chosen, the design axis the scheduler ablation (`experiments -fig
+// sched`, cmd/experiments) measures.
 type Policy int
 
 // Scheduling policies.
