@@ -39,6 +39,7 @@ import (
 	"repro/internal/hpo"
 	"repro/internal/obs"
 	rt "repro/internal/runtime"
+	"repro/internal/server"
 	"repro/internal/store"
 	"repro/internal/trace"
 )
@@ -80,7 +81,7 @@ func main() {
 	}
 	var o options
 	flag.StringVar(&o.spaceFile, "space", "", "search-space JSON file (required; paper Listing 1 format)")
-	flag.StringVar(&o.algo, "algo", "grid", "grid | random | bayes | tpe | hyperband")
+	flag.StringVar(&o.algo, "algo", "grid", "grid | random | bayes | tpe | hyperband (the rung-driven scheduler; see -rung-mode)")
 	flag.StringVar(&o.dataset, "dataset", "mnist", "mnist | cifar10")
 	flag.IntVar(&o.samples, "samples", 800, "dataset size (synthetic substitute)")
 	flag.StringVar(&o.model, "model", "mlp", "mlp | cnn (unless the space sets 'model')")
@@ -101,14 +102,14 @@ func main() {
 	flag.StringVar(&o.reportOut, "report", "", "write a Markdown study report here")
 	flag.StringVar(&o.pruner, "pruner", "", "prune losing trials mid-training: none | median | asha")
 	flag.StringVar(&o.scheduler, "scheduler", "",
-		"rung-driven successive halving over the live report stream: none | hyperband | asha (hyperband replaces -algo; promotes winners past their budget instead of re-submitting)")
+		"rung-driven successive halving over the live report stream: none | hyperband | asha (hyperband is what -algo hyperband runs, and sets it; promotes winners past their budget instead of re-submitting)")
 	flag.StringVar(&o.rungMode, "rung-mode", "",
-		"how -scheduler hyperband settles rungs: sync (barrier rungs, needs slots for a whole bracket; default) | async (non-barrier ASHA-style decisions, runs on any capacity, brackets in parallel)")
+		"how -algo hyperband settles rungs: sync (barrier rungs, needs slots for a whole bracket; default) | async (non-barrier ASHA-style decisions, runs on any capacity, brackets in parallel)")
 	flag.StringVar(&o.metricsAddr, "metrics-addr", "",
 		"serve the Prometheus /metrics exposition on this address for the duration of the run (e.g. 127.0.0.1:9090)")
 	flag.Parse()
-	// -scheduler hyperband replaces the sampler, as its help says: an -algo
-	// left at the default follows it; an explicitly conflicting one errors.
+	// -scheduler hyperband is what -algo hyperband runs: an -algo left at
+	// the default follows it; an explicitly conflicting one errors.
 	if o.scheduler == "hyperband" {
 		algoSet := false
 		flag.Visit(func(f *flag.Flag) {
@@ -157,7 +158,11 @@ func run(o options) error {
 	if err != nil {
 		return err
 	}
-	sampler, err := hpo.NewSampler(o.algo, space, o.budget, o.seed)
+	// The daemon's spec resolution, so -algo/-scheduler/-rung-mode/-pruner
+	// combine exactly as the same fields of an hpod study spec do.
+	spec := server.StudySpec{Algo: o.algo, Space: raw, Budget: o.budget, Seed: o.seed,
+		CVFolds: o.cvFolds, Pruner: o.pruner, Scheduler: o.scheduler, RungMode: o.rungMode}
+	sampler, scheduler, pruner, err := spec.BuildDecisions("", "", "")
 	if err != nil {
 		return err
 	}
@@ -211,21 +216,6 @@ func run(o options) error {
 		fmt.Printf("hpo: grid size %d\n", space.Size())
 	}
 
-	pruner, err := hpo.NewPruner(o.pruner, 0, 0)
-	if err != nil {
-		return err
-	}
-	schedSampler, scheduler, err := hpo.NewTrialScheduler(o.scheduler, o.algo, space, o.budget, 0, 0, o.seed, o.rungMode)
-	if err != nil {
-		return err
-	}
-	if scheduler != nil && o.cvFolds > 1 {
-		return fmt.Errorf("-scheduler requires -cv 0 (cross-validated objectives cannot continue past their budget)")
-	}
-	if schedSampler != nil {
-		// Rung-driven Hyperband owns both the sampler and scheduler roles.
-		sampler = schedSampler
-	}
 	studyOpts := hpo.StudyOptions{
 		Space:          space,
 		Sampler:        sampler,

@@ -9,8 +9,9 @@
 //	hpo replay -journal hpod.journal -study <id>
 //
 // needs nothing else; CLI-created studies journal no spec, so the decision
-// flags (-scheduler, -rung-mode, -algo, -space, -budget, -eta, -seed,
-// -pruner, ...) must repeat what the original run was given.
+// flags (-scheduler, -rung-mode, -space, -budget, -eta, -seed, -pruner,
+// ...) must repeat what the original run was given; a run with -algo
+// hyperband replays with -scheduler hyperband.
 package main
 
 import (
@@ -30,7 +31,6 @@ type replayOptions struct {
 	studyID      string
 	scheduler    string
 	rungMode     string
-	algo         string
 	spaceFile    string
 	budget       int
 	eta          int
@@ -50,8 +50,7 @@ func replayMain(args []string) error {
 	fs.StringVar(&o.journal, "journal", "", "journal directory to verify (required)")
 	fs.StringVar(&o.studyID, "study", "cli", "study id within the journal")
 	fs.StringVar(&o.scheduler, "scheduler", "", "rung scheduler the study ran with: none | hyperband | asha")
-	fs.StringVar(&o.rungMode, "rung-mode", "", "rung mode for -scheduler hyperband: sync | async")
-	fs.StringVar(&o.algo, "algo", "grid", "sampler the study ran with (hyperband selects batch-conformance replay)")
+	fs.StringVar(&o.rungMode, "rung-mode", "", "rung mode for -scheduler hyperband (runs with -algo hyperband): sync | async")
 	fs.StringVar(&o.spaceFile, "space", "", "search-space JSON file (required for hyperband replays: regenerates sampled configs from -seed)")
 	fs.IntVar(&o.budget, "budget", 20, "trial budget of the original run (hyperband: max epochs R)")
 	fs.IntVar(&o.eta, "eta", 0, "halving factor of the original run (0 = default 3)")
@@ -68,19 +67,6 @@ func replayMain(args []string) error {
 	}
 	if o.journal == "" {
 		return fmt.Errorf("-journal is required")
-	}
-	// -scheduler hyperband replaces the sampler, exactly as in `hpo` runs:
-	// an -algo left at the default follows it.
-	if o.scheduler == "hyperband" {
-		algoSet := false
-		fs.Visit(func(f *flag.Flag) {
-			if f.Name == "algo" {
-				algoSet = true
-			}
-		})
-		if !algoSet {
-			o.algo = "hyperband"
-		}
 	}
 
 	meta, recs, err := store.SnapshotStudyRecords(o.journal, o.studyID)
@@ -141,7 +127,6 @@ func replayParams(o replayOptions, fs *flag.FlagSet, meta store.StudyMeta) (repl
 	p := replay.Params{
 		Scheduler:    o.scheduler,
 		RungMode:     o.rungMode,
-		Algo:         o.algo,
 		Budget:       o.budget,
 		Eta:          o.eta,
 		MinResource:  o.minResource,

@@ -101,9 +101,9 @@ func main() {
 		"Retry-After hint attached to 429/503 admission rejections")
 	flag.StringVar(&o.pruner, "pruner", "", "default trial pruner for specs that set none: none | median | asha")
 	flag.StringVar(&o.scheduler, "scheduler", "",
-		"default rung-driven scheduler for specs that set none: none | hyperband | asha (supersedes -pruner when active)")
+		"default rung-driven scheduler for specs that set none: none | hyperband | asha (supersedes -pruner when active; algo hyperband specs always run hyperband, so that value changes nothing)")
 	flag.StringVar(&o.rungMode, "rung-mode", "",
-		"default rung mode for specs that set none: sync (barrier rungs; default) | async (non-barrier, runs on any capacity) — use async when the backend is smaller than a Hyperband bracket")
+		"default rung mode for specs that set none: sync (barrier rungs; default) | async (non-barrier, runs on any capacity) — use async when the backend is smaller than a Hyperband bracket, or algo hyperband studies fail fast")
 	flag.IntVar(&o.retainEvents, "retain-events", 0,
 		"per-study in-memory event window for SSE resume (0 = default, negative = unbounded)")
 	flag.IntVar(&o.maxOpenSegments, "max-open-segments", 0,

@@ -18,7 +18,7 @@ var (
 	obsWaitingRoom = obs.Default().Gauge("hpo_sched_waiting_room_depth",
 		"Members queued in async rung schedulers awaiting admission.")
 	obsBaselineEpochs = obs.Default().Counter("hpo_sched_baseline_epochs_total",
-		"Epochs the equivalent batch Hyperband would execute (re-training each rung from scratch).")
+		"Epochs the rung-driven Hyperband's bracket ladders would cost if every rung re-trained its survivors from scratch.")
 	obsStudyEpochs = obs.Default().Counter("hpo_study_epochs_total",
 		"Training epochs actually executed (one per streamed trial report).")
 	obsStudyTrials = obs.Default().CounterVec("hpo_study_trials_total",

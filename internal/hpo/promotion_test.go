@@ -206,7 +206,8 @@ func TestPromoteRacesCancel(t *testing.T) {
 	}}
 
 	rh := NewRungHyperband(rungSpace(t), 3, 3, 7)
-	paused := 0
+	// OnEpoch runs on the reporting tasks' goroutines, concurrently.
+	var paused atomic.Int64
 	var err error
 	st, err = NewStudy(StudyOptions{
 		Sampler:   rh,
@@ -222,7 +223,7 @@ func TestPromoteRacesCancel(t *testing.T) {
 			// Cancel the study right here, then release the holdout —
 			// its report completes the rung and the scheduler's decisions
 			// race the cancellation.
-			if paused++; paused == 2 {
+			if paused.Add(1) == 2 {
 				stopOnce.Do(func() {
 					go st.Stop("operator cancel racing promotion")
 					close(block)

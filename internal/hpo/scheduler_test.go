@@ -3,6 +3,7 @@ package hpo
 import (
 	"fmt"
 	"path/filepath"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -22,46 +23,47 @@ func rungSpace(t *testing.T) *Space {
 	return s
 }
 
-// rungValue is the deterministic metric both implementations see: monotone
-// in epochs, ordered by the config's acc.
+// rungValue is the deterministic metric every test objective reports:
+// monotone in epochs, ordered by the config's acc.
 func rungValue(cfg Config, epoch, maxR int) float64 {
 	return cfg.Float("acc", 0) * float64(epoch+1) / float64(maxR)
 }
 
-// batchRungLog drives the batch Hyperband through ask/tell and records, per
-// (fingerprint, budget), every evaluation it schedules — the re-submit
-// baseline's rung structure.
-func batchRungLog(t *testing.T, maxR, eta int, seed uint64, space *Space) map[string]int {
-	t.Helper()
-	h := NewHyperband(space, maxR, eta, seed)
-	evals := make(map[string]int) // "fingerprint@budget" → count
-	id := 0
-	for rounds := 0; !h.Done() && rounds < 1000; rounds++ {
-		batch := h.Ask(0)
-		if len(batch) == 0 {
-			if h.Done() {
-				break
+// shaOracle is Li et al.'s successive halving over the members' known acc
+// values — the reference the rung scheduler's promotions must reproduce.
+// Every bracket member is evaluated at the first rung, and each rung keeps
+// the top ⌊n/η⌋ by acc (rungValue's order at any one epoch) for the next.
+// It returns every evaluation as "acc@budget" → count, the epochs a run
+// that re-trains each rung's survivors from scratch executes, and the
+// winner: the highest-scoring member that reached its bracket's last rung.
+func shaOracle(rh *RungHyperband) (evals map[string]int, retrainEpochs int, winner float64) {
+	evals = make(map[string]int)
+	best := -1.0
+	for _, b := range rh.brackets {
+		alive := append([]*rungMember(nil), b.members...)
+		for k, budget := range b.budgets {
+			if k > 0 {
+				sort.Slice(alive, func(i, j int) bool {
+					return alive[i].cfg.Float("acc", 0) > alive[j].cfg.Float("acc", 0)
+				})
+				alive = alive[:len(alive)/rh.Eta]
 			}
-			t.Fatal("batch hyperband stalled")
+			for _, m := range alive {
+				evals[fmt.Sprintf("%v@%d", m.cfg["acc"], budget)]++
+				retrainEpochs += budget
+				if v := rungValue(m.cfg, budget-1, rh.MaxR); k == len(b.budgets)-1 && v > best {
+					best, winner = v, m.cfg.Float("acc", 0)
+				}
+			}
 		}
-		var results []TrialResult
-		for _, cfg := range batch {
-			budget := cfg.Int("num_epochs", 0)
-			evals[fmt.Sprintf("%v@%d", cfg["acc"], budget)]++
-			best := rungValue(cfg, budget-1, maxR)
-			results = append(results, TrialResult{ID: id, Config: cfg,
-				TrialMetrics: TrialMetrics{BestAcc: best, FinalAcc: best, Epochs: budget}})
-			id++
-		}
-		h.Tell(results)
 	}
-	return evals
+	return evals, retrainEpochs, winner
 }
 
-// TestRungHyperbandConformance pins the rung-driven scheduler to the batch
-// implementation: same seed → identical bracket sizes (9/5/3 for R=9,η=3),
-// identical rung budgets, identical promotion sets — while the executed
-// epoch count drops strictly below the re-submit baseline.
+// TestRungHyperbandConformance pins the rung-driven scheduler to successive
+// halving: bracket sizes 9/5/3 for R=9,η=3, their rung budgets, and exactly
+// shaOracle's promotion sets — while the executed epoch count drops
+// strictly below the re-train-every-rung baseline.
 func TestRungHyperbandConformance(t *testing.T) {
 	const maxR, eta, seed = 9, 3, 42
 	space := rungSpace(t)
@@ -84,16 +86,50 @@ func TestRungHyperbandConformance(t *testing.T) {
 		t.Fatalf("MinSlots = %d, want 9", rh.MinSlots())
 	}
 
-	// --- Batch baseline evaluations.
-	batch := batchRungLog(t, maxR, eta, seed, space)
-	batchEpochs := 0
-	for key := range batch {
-		var budget int
-		fmt.Sscanf(key[lastAt(key)+1:], "%d", &budget)
-		batchEpochs += budget * batch[key]
-	}
+	// --- Reference evaluations.
+	oracle, retrainEpochs, _ := shaOracle(rh)
 
 	// --- Drive the rung scheduler through a simulated live report stream.
+	rungEvals, granted, rungEpochs := driveSyncRungs(t, rh)
+
+	// --- Conformance: every (config, budget) successive halving evaluates
+	// is exactly the set the rung scheduler reached.
+	for key, n := range oracle {
+		if rungEvals[key] < n {
+			t.Errorf("successive halving evaluates %s ×%d, rung reached it ×%d", key, n, rungEvals[key])
+		}
+	}
+	for key := range rungEvals {
+		if oracle[key] == 0 {
+			t.Errorf("rung reached %s which successive halving never evaluates", key)
+		}
+	}
+	// Pinned promotion counts: bracket0 promotes 3 then 1, bracket1
+	// promotes 1, bracket2 none — 5 total.
+	if granted != 5 {
+		t.Errorf("promotions = %d, want exactly 5 grants", granted)
+	}
+	// Epoch savings: promoted trials never re-run completed epochs, so the
+	// rung-driven total is strictly below the re-train baseline.
+	if retrainEpochs != 78 {
+		t.Errorf("re-train baseline is %d epochs, want 78 (9+9+9 + 15+9 + 27)", retrainEpochs)
+	}
+	if rungEpochs >= retrainEpochs {
+		t.Errorf("rung-driven executed %d epochs, want strictly < re-train %d", rungEpochs, retrainEpochs)
+	}
+	if rungEpochs != 69 {
+		t.Errorf("rung-driven executed %d epochs, want 69", rungEpochs)
+	}
+}
+
+// driveSyncRungs runs a sync RungHyperband to completion through a
+// simulated live report stream: every admitted trial trains to its current
+// limit reporting rungValue each epoch, and decisions raise limits or halt.
+// It returns every rung budget a member reached — its first rung at
+// admission, then each promotion — as "acc@budget" → count, the number of
+// promotions granted, and the epochs executed.
+func driveSyncRungs(t *testing.T, rh *RungHyperband) (reached map[string]int, granted, epochs int) {
+	t.Helper()
 	type live struct {
 		cfg     Config
 		limit   int
@@ -102,9 +138,7 @@ func TestRungHyperbandConformance(t *testing.T) {
 		best    float64
 	}
 	trials := make(map[int]*live)
-	rungEpochs := 0
-	promotions := make(map[string]int) // fingerprint@budget → granted
-	rungEvals := make(map[string]int)  // fingerprint@budget → rung reached
+	reached = make(map[string]int)
 	nextID := 0
 
 	var apply func(decisions []SchedDecision)
@@ -125,8 +159,8 @@ func TestRungHyperbandConformance(t *testing.T) {
 			if d.Budget <= tr.limit {
 				t.Fatalf("trial %d re-granted %d (already %d)", d.TrialID, d.Budget, tr.limit)
 			}
-			promotions[fmt.Sprintf("%v@%d", tr.cfg["acc"], d.Budget)]++
-			rungEvals[fmt.Sprintf("%v@%d", tr.cfg["acc"], d.Budget)]++
+			granted++
+			reached[fmt.Sprintf("%v@%d", tr.cfg["acc"], d.Budget)]++
 			tr.limit = d.Budget
 		}
 	}
@@ -146,7 +180,7 @@ func TestRungHyperbandConformance(t *testing.T) {
 			ceiling := cfg.Int("_hb_max", base)
 			rh.Admit(id, base, cfg)
 			trials[id] = &live{cfg: cfg, limit: base, ceiling: ceiling}
-			rungEvals[fmt.Sprintf("%v@%d", cfg["acc"], base)]++
+			reached[fmt.Sprintf("%v@%d", cfg["acc"], base)]++
 		}
 		// Run the bracket: every live trial trains to its current limit,
 		// streaming per-epoch reports; decisions raise limits or halt.
@@ -155,12 +189,12 @@ func TestRungHyperbandConformance(t *testing.T) {
 			for id, tr := range trials {
 				for tr.epoch < tr.limit {
 					progress = true
-					v := rungValue(tr.cfg, tr.epoch, maxR)
+					v := rungValue(tr.cfg, tr.epoch, rh.MaxR)
 					if v > tr.best {
 						tr.best = v
 					}
 					tr.epoch++
-					rungEpochs++
+					epochs++
 					if tr.epoch > tr.limit {
 						t.Fatalf("trial %d trained past its budget", id)
 					}
@@ -186,44 +220,7 @@ func TestRungHyperbandConformance(t *testing.T) {
 			t.Fatalf("%d trials left paused with no pending decision (deadlock)", len(trials))
 		}
 	}
-
-	// --- Conformance: every (config, budget) the batch implementation
-	// evaluated is exactly the set the rung scheduler reached.
-	for key, n := range batch {
-		if rungEvals[key] < n {
-			t.Errorf("batch evaluated %s ×%d, rung reached it ×%d", key, n, rungEvals[key])
-		}
-	}
-	for key := range rungEvals {
-		if batch[key] == 0 {
-			t.Errorf("rung reached %s which the batch implementation never scheduled", key)
-		}
-	}
-	// Pinned promotion counts: bracket0 promotes 3 then 1, bracket1
-	// promotes 1, bracket2 none — 5 total.
-	if len(promotions) != 5 {
-		t.Errorf("promotions = %v, want exactly 5 grants", promotions)
-	}
-	// Epoch savings: promoted trials never re-run completed epochs, so the
-	// rung-driven total is strictly below the re-submit baseline.
-	if batchEpochs != 78 {
-		t.Errorf("batch baseline executed %d epochs, want 78 (9+9+9 + 15+9 + 27)", batchEpochs)
-	}
-	if rungEpochs >= batchEpochs {
-		t.Errorf("rung-driven executed %d epochs, want strictly < batch %d", rungEpochs, batchEpochs)
-	}
-	if rungEpochs != 69 {
-		t.Errorf("rung-driven executed %d epochs, want 69", rungEpochs)
-	}
-}
-
-func lastAt(s string) int {
-	for i := len(s) - 1; i >= 0; i-- {
-		if s[i] == '@' {
-			return i
-		}
-	}
-	return -1
+	return reached, granted, epochs
 }
 
 // gatedObjective honours the full trial-continuation contract: it plans for
@@ -262,9 +259,9 @@ func gatedObjective(maxR int, counter *atomic.Int64) *FuncObjective {
 
 // TestRungHyperbandRemoteE2E is the tentpole acceptance test: rung-driven
 // Hyperband on the real TCP Remote backend must execute strictly fewer
-// total epochs than the batch re-submit baseline, select the same winning
-// config, and promote trials past their initial budget without re-running
-// completed epochs.
+// total epochs than re-training every rung (78 at R=9, η=3), select
+// successive halving's winning config, and promote trials past their
+// initial budget without re-running completed epochs.
 func TestRungHyperbandRemoteE2E(t *testing.T) {
 	const maxR, eta, seed = 9, 3, 42
 	space := rungSpace(t)
@@ -284,19 +281,6 @@ func TestRungHyperbandRemoteE2E(t *testing.T) {
 	}
 	obj, _ := makeObjective()
 
-	// --- Batch baseline: budgets re-submitted per rung.
-	baseStudy, err := NewStudy(StudyOptions{
-		Sampler: NewHyperband(space, maxR, eta, seed), Objective: obj, Runtime: rt,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	baseRes, err := baseStudy.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	baseline := executed.Load()
-
 	// --- Rung-driven run with journaled promotions.
 	journal, err := store.OpenJournal(filepath.Join(t.TempDir(), "rung.journal"), store.JournalOptions{NoSync: true})
 	if err != nil {
@@ -307,6 +291,7 @@ func TestRungHyperbandRemoteE2E(t *testing.T) {
 		t.Fatal(err)
 	}
 	rh := NewRungHyperband(space, maxR, eta, seed)
+	_, baseline, wantWinner := shaOracle(rh)
 	st, err := NewStudy(StudyOptions{
 		Sampler:   rh,
 		Scheduler: rh,
@@ -321,18 +306,17 @@ func TestRungHyperbandRemoteE2E(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rungExecuted := executed.Load() - baseline
+	rungExecuted := executed.Load()
 
-	// Strictly fewer epochs, identical winner.
-	if rungExecuted >= baseline {
-		t.Fatalf("rung-driven executed %d epochs, want strictly < batch baseline %d", rungExecuted, baseline)
+	// Strictly fewer epochs, successive halving's winner.
+	if rungExecuted >= int64(baseline) {
+		t.Fatalf("rung-driven executed %d epochs, want strictly < re-train baseline %d", rungExecuted, baseline)
 	}
-	if baseRes.Best == nil || res.Best == nil {
-		t.Fatalf("missing winners: batch %+v rung %+v", baseRes.Best, res.Best)
+	if res.Best == nil {
+		t.Fatal("no winner")
 	}
-	if bw, rw := baseRes.Best.Config.Float("acc", -1), res.Best.Config.Float("acc", -2); bw != rw {
-		t.Fatalf("winners differ: batch acc=%v (%.4f) vs rung acc=%v (%.4f)",
-			bw, baseRes.Best.BestAcc, rw, res.Best.BestAcc)
+	if rw := res.Best.Config.Float("acc", -1); rw != wantWinner {
+		t.Fatalf("winner acc=%v (%.4f), want successive halving's acc=%v", rw, res.Best.BestAcc, wantWinner)
 	}
 
 	// Promoted trials continued past their initial budget on the same
@@ -399,32 +383,29 @@ func TestSchedulerValidation(t *testing.T) {
 	}); err == nil {
 		t.Fatal("Scheduler+Pruner combination accepted")
 	}
-	if _, _, err := NewTrialScheduler("hyperband", "random", rungSpace(t), 9, 3, 1, 1, ""); err == nil {
-		t.Fatal("hyperband scheduler accepted a non-hyperband algo")
-	}
-	if _, _, err := NewTrialScheduler("bogus", "", rungSpace(t), 9, 3, 1, 1, ""); err == nil {
+	if _, _, err := NewTrialScheduler("bogus", rungSpace(t), 9, 3, 1, 1, ""); err == nil {
 		t.Fatal("unknown scheduler accepted")
 	}
-	s, sch, err := NewTrialScheduler("", "", rungSpace(t), 9, 3, 1, 1, "")
+	s, sch, err := NewTrialScheduler("", rungSpace(t), 9, 3, 1, 1, "")
 	if err != nil || s != nil || sch != nil {
 		t.Fatalf("empty scheduler = (%v, %v, %v), want all nil", s, sch, err)
 	}
-	if _, _, err := NewTrialScheduler("hyperband", "", rungSpace(t), 9, 3, 1, 1, "bogus"); err == nil {
+	if _, _, err := NewTrialScheduler("hyperband", rungSpace(t), 9, 3, 1, 1, "bogus"); err == nil {
 		t.Fatal("unknown rung mode accepted")
 	}
-	if _, _, err := NewTrialScheduler("", "", rungSpace(t), 9, 3, 1, 1, RungAsync); err == nil {
-		t.Fatal("explicit rung mode without a scheduler accepted — would silently run the batch path")
+	if _, _, err := NewTrialScheduler("", rungSpace(t), 9, 3, 1, 1, RungAsync); err == nil {
+		t.Fatal("explicit rung mode without a scheduler accepted — would silently run without rungs")
 	}
-	if _, _, err := NewTrialScheduler("none", "", rungSpace(t), 9, 3, 1, 1, RungSync); err == nil {
+	if _, _, err := NewTrialScheduler("none", rungSpace(t), 9, 3, 1, 1, RungSync); err == nil {
 		t.Fatal("explicit rung mode with scheduler none accepted")
 	}
-	if _, _, err := NewTrialScheduler("asha", "random", rungSpace(t), 9, 3, 1, 1, RungSync); err == nil {
+	if _, _, err := NewTrialScheduler("asha", rungSpace(t), 9, 3, 1, 1, RungSync); err == nil {
 		t.Fatal("asha accepted a synchronous rung mode (its decisions are per-arrival)")
 	}
-	if hb, sched, err := NewTrialScheduler("hyperband", "", rungSpace(t), 9, 3, 1, 1, RungAsync); err != nil {
+	if hb, sched, err := NewTrialScheduler("hyperband", rungSpace(t), 9, 3, 1, 1, RungAsync); err != nil {
 		t.Fatalf("async hyperband scheduler: %v", err)
-	} else if rh, ok := hb.(*RungHyperband); !ok || !rh.Async() || sched != hb.(TrialScheduler) {
-		t.Fatalf("async hyperband = (%T async=%v, %T), want one async RungHyperband in both roles", hb, rh.Async(), sched)
+	} else if rh, ok := hb.(*RungHyperband); !ok || !rh.AsyncRungs() || sched != hb.(TrialScheduler) {
+		t.Fatalf("async hyperband = (%T async=%v, %T), want one async RungHyperband in both roles", hb, rh.AsyncRungs(), sched)
 	}
 }
 

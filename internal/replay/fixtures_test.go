@@ -12,6 +12,10 @@ package replay_test
 // seeds), so decision CONTENT is stable across regenerations even though
 // record timestamps and async arrival interleavings are not — the contract
 // is "the journal replays against itself", not "journals are bit-stable".
+//
+// testdata/batch-hyperband is not a fixture: it is a journal of the retired
+// batch Hyperband sampler, kept as the input of
+// TestLegacyBatchHyperbandJournalIsCorrupt and never regenerated.
 
 import (
 	"encoding/json"
@@ -205,20 +209,6 @@ func fixtures() []fixture {
 			},
 			params: func(t *testing.T) replay.Params {
 				return replay.Params{Scheduler: "asha", Budget: fixMaxR, Eta: fixEta, MinResource: 1}
-			},
-			runs: 1,
-		},
-		{
-			name: "batch-hyperband",
-			generate: func(t *testing.T, dir string) {
-				space := mustSpace(t, rungSpaceJSON)
-				runFixtureStudy(t, dir, 3, false, hpo.StudyOptions{
-					Sampler: hpo.NewHyperband(space, fixMaxR, fixEta, fixSeed), Objective: fixtureObjective(fixMaxR, nil),
-				})
-			},
-			params: func(t *testing.T) replay.Params {
-				return replay.Params{Algo: "hyperband",
-					Space: mustSpace(t, rungSpaceJSON), Budget: fixMaxR, Eta: fixEta, Seed: fixSeed}
 			},
 			runs: 1,
 		},

@@ -5,8 +5,8 @@
 //
 // The engine reads the stream store.Journal.StudyRecords (or
 // store.SnapshotStudyRecords) returns and re-drives the *live* scheduler
-// implementations — RungHyperband sync+async, ASHAScheduler, the batch
-// Hyperband sampler and the Pruners — in a simulated runtime: no training,
+// implementations — RungHyperband sync+async, ASHAScheduler and the
+// Pruners — in a simulated runtime: no training,
 // no clock, no goroutine nondeterminism. Metric records become Observe
 // calls, trial records become Complete calls, and the decisions the
 // schedulers emit are byte-compared (trial, epoch, budget, reason string)
@@ -35,11 +35,8 @@ type Params struct {
 	// RungMode is "" (default sync), "sync" or "async" for Scheduler
 	// "hyperband".
 	RungMode string
-	// Algo is the sampler algorithm; "hyperband" with no Scheduler selects
-	// batch-Hyperband conformance replay.
-	Algo string
-	// Space is the search space (required for hyperband scheduler/sampler
-	// replay — it regenerates the sampled configs from Seed).
+	// Space is the search space (required for hyperband replay — it
+	// regenerates the sampled configs from Seed).
 	Space *hpo.Space
 	// Budget is R, the max epoch budget.
 	Budget int
@@ -98,8 +95,8 @@ func (d Decision) String() string {
 type Report struct {
 	StudyID string `json:"study_id"`
 	// Mode labels the replayed decision engine: "hyperband-rung/sync",
-	// "hyperband-rung/async", "asha-promote", "batch-hyperband",
-	// "pruner/median", "pruner/asha" or "none".
+	// "hyperband-rung/async", "asha-promote", "pruner/median",
+	// "pruner/asha" or "none".
 	Mode string `json:"mode"`
 	// Records is the stream length, Runs the number of run boundaries
 	// (state:running markers starting fresh scheduler state).
@@ -121,7 +118,7 @@ type Report struct {
 	// the exactly-once grant accounting.
 	Budgets map[int][]int `json:"budgets,omitempty"`
 	// Warnings note contract edges that degrade verification without
-	// failing it (compacted telemetry, resumed batch studies, ...).
+	// failing it (compacted telemetry, trials without a final record, ...).
 	Warnings []string `json:"warnings,omitempty"`
 }
 
@@ -390,9 +387,6 @@ func (e *engine) dispatch() (string, error) {
 	default:
 		return "", e.corrupt(0, "unknown pruner %q", e.p.Pruner)
 	}
-	if e.p.Algo == "hyperband" {
-		return "batch-hyperband", e.replayBatchHyperband()
-	}
 	return "none", nil
 }
 
@@ -478,7 +472,7 @@ func (e *engine) replayRungHyperband() error {
 		}
 
 		// Fresh scheduler for this run, built exactly like the live study.
-		sampler, sched, err := hpo.NewTrialScheduler("hyperband", e.p.Algo, e.p.Space,
+		sampler, sched, err := hpo.NewTrialScheduler("hyperband", e.p.Space,
 			e.p.Budget, e.p.Eta, e.p.MinResource, e.p.Seed, e.p.RungMode)
 		if err != nil {
 			return e.corrupt(0, "building scheduler: %v", err)
@@ -557,7 +551,7 @@ func (e *engine) replayRungHyperband() error {
 // across runs (Complete never anchors), so each run simply starts fresh.
 func (e *engine) replayASHA() error {
 	for r := range e.runStarts {
-		_, sched, err := hpo.NewTrialScheduler("asha", e.p.Algo, e.p.Space,
+		_, sched, err := hpo.NewTrialScheduler("asha", e.p.Space,
 			e.p.Budget, e.p.Eta, e.p.MinResource, e.p.Seed, e.p.RungMode)
 		if err != nil {
 			return e.corrupt(0, "building scheduler: %v", err)
@@ -638,70 +632,6 @@ func (e *engine) replayPruner() error {
 				pruner.Complete(rec.Trial.ID)
 				e.completed[rec.Trial.ID] = true
 			}
-		}
-	}
-	return nil
-}
-
-// replayBatchHyperband re-drives the batch Hyperband sampler's Ask/Tell
-// loop against the recorded finals: trial ids are assigned in ask order
-// (exactly how the live study numbers them), each asked config must
-// fingerprint-match its recorded trial, and rungs settle through the real
-// Tell. The batch path records no prune/promote decisions; conformance
-// here is the config/budget schedule itself.
-func (e *engine) replayBatchHyperband() error {
-	if len(e.runStarts) > 1 {
-		e.warnf("batch hyperband conformance skipped: study has %d runs (resumed ids are not re-derivable)", len(e.runStarts))
-		return nil
-	}
-	if e.p.Space == nil {
-		return e.corrupt(0, "batch hyperband replay needs the search space")
-	}
-	h := hpo.NewHyperband(e.p.Space, e.p.Budget, e.p.Eta, e.p.Seed)
-	id := 0
-	for rounds := 0; !h.Done(); rounds++ {
-		if rounds > 10000 {
-			return e.corrupt(0, "batch hyperband did not converge (10000 rounds)")
-		}
-		batch := h.Ask(0)
-		if len(batch) == 0 {
-			if h.Done() {
-				break
-			}
-			return e.corrupt(0, "batch hyperband stalled mid-replay")
-		}
-		var results []hpo.TrialResult
-		for _, cfg := range batch {
-			f := e.finals[id]
-			if f == nil {
-				// The journal ends mid-study (canceled, failed, or still
-				// running): the remaining schedule never executed.
-				e.warnf("batch hyperband conformance stopped at trial %d: no final record (study ended early)", id)
-				return nil
-			}
-			if f.Fingerprint != "" && cfg.Fingerprint() != f.Fingerprint {
-				return e.corrupt(0, "trial %d: config fingerprint %s does not match asked config %s — wrong seed or space?",
-					id, f.Fingerprint, cfg.Fingerprint())
-			}
-			res := hpo.FromStoreTrial(*f)
-			res.ID = id
-			res.Config = cfg // Tell binds results by the hidden _hb key
-			results = append(results, res)
-			e.completed[id] = true
-			id++
-		}
-		h.Tell(results)
-	}
-	// Sorted so the first out-of-schedule trial named in the corrupt error
-	// is deterministic across runs, not whichever map key came up first.
-	tids := make([]int, 0, len(e.finals))
-	for tid := range e.finals {
-		tids = append(tids, tid)
-	}
-	sort.Ints(tids)
-	for _, tid := range tids {
-		if tid >= id {
-			return e.corrupt(0, "trial %d recorded beyond the derived schedule of %d trials", tid, id)
 		}
 	}
 	return nil

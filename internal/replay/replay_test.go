@@ -6,13 +6,16 @@ package replay_test
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
 
+	"repro/internal/hpo"
 	"repro/internal/replay"
+	"repro/internal/server"
 	"repro/internal/store"
 )
 
@@ -71,7 +74,7 @@ func TestGoldenFixturesReplay(t *testing.T) {
 
 			// Modes that take scheduler decisions must actually have taken
 			// some — an empty log would vacuously pass the byte-match.
-			if f.name != "batch-hyperband" && len(rep1.Recorded) == 0 {
+			if len(rep1.Recorded) == 0 {
 				t.Fatal("fixture recorded no scheduler decisions")
 			}
 
@@ -288,6 +291,42 @@ func fixtureParams(t *testing.T, name string) replay.Params {
 	}
 	t.Fatalf("unknown fixture %s", name)
 	return replay.Params{}
+}
+
+// TestLegacyBatchHyperbandJournalIsCorrupt: testdata/batch-hyperband is a
+// journal of the retired batch Hyperband sampler, which re-submitted each
+// rung's survivors as fresh trials and journaled no rung decisions. Its
+// spec's algo now means the rung-driven scheduler, whose members the
+// re-submitted trials cannot bind to, so verification under the params
+// ReplayParams resolves must fail with ErrCorrupt — never a divergence,
+// never a panic. The journal is kept outside the golden list for this.
+func TestLegacyBatchHyperbandJournalIsCorrupt(t *testing.T) {
+	_, recs, err := store.SnapshotStudyRecords(filepath.Join("testdata", "batch-hyperband"), fixtureStudy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := server.ParseSpec([]byte(fmt.Sprintf(`{"algo": "hyperband", "space": %s, "budget": %d, "pruner_eta": %d, "seed": %d}`,
+		rungSpaceJSON, fixMaxR, fixEta, fixSeed)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := spec.ReplayParams("", "", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Scheduler != "hyperband" || p.RungMode != hpo.RungSync {
+		t.Fatalf("algo hyperband resolved to scheduler %q mode %q, want hyperband/sync", p.Scheduler, p.RungMode)
+	}
+	_, err = replay.Verify(fixtureStudy, recs, p)
+	if !errors.Is(err, replay.ErrCorrupt) || errors.Is(err, replay.ErrDivergence) {
+		t.Fatalf("legacy batch journal verified with %v, want ErrCorrupt", err)
+	}
+	// Trials 0-8 are bracket 0's first rung either way; trial 9 is where
+	// the batch sampler re-submitted a survivor instead of starting
+	// bracket 1.
+	if !strings.Contains(err.Error(), "trial 9: config fingerprint") {
+		t.Fatalf("error does not name the first unbindable trial: %v", err)
+	}
 }
 
 // TestVerifyFailuresAreTyped: tampered streams fail with the documented

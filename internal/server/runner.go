@@ -251,34 +251,9 @@ func (r *Runner) execute(id string) error {
 		return err
 	}
 
-	sampler, err := spec.buildSampler()
+	sampler, scheduler, pruner, err := spec.BuildDecisions(r.DefaultScheduler, r.DefaultRungMode, r.DefaultPruner)
 	if err != nil {
 		return r.fail(id, err)
-	}
-	schedSampler, scheduler, err := spec.BuildScheduler(r.DefaultScheduler, r.DefaultRungMode)
-	if err != nil {
-		return r.fail(id, err)
-	}
-	if scheduler == nil && spec.RungMode != "" {
-		// The spec explicitly asked for a rung mode but no scheduler is
-		// active to apply it (no scheduler field and no — or an
-		// incompatible — daemon default): failing beats silently running
-		// the batch path the user tried to avoid.
-		return r.fail(id, fmt.Errorf("server: spec sets rung_mode %q but no rung scheduler is active (spec scheduler %q, daemon default %q)",
-			spec.RungMode, spec.Scheduler, r.DefaultScheduler))
-	}
-	if schedSampler != nil {
-		// Rung-driven Hyperband owns both the sampler and scheduler roles.
-		sampler = schedSampler
-	}
-	pruner, err := spec.BuildPruner(r.DefaultPruner)
-	if err != nil {
-		return r.fail(id, err)
-	}
-	if scheduler != nil {
-		// The scheduler already halts rung losers; a daemon-default pruner
-		// must not fight its decisions.
-		pruner = nil
 	}
 	buildObjective := r.Objectives
 	if buildObjective == nil {

@@ -1,6 +1,8 @@
 package server
 
 import (
+	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -27,6 +29,11 @@ func TestSpecSchedulerValidation(t *testing.T) {
 		fmt.Sprintf(`{%s, "algo": "hyperband", "scheduler": "hyperband", "rung_mode": "bogus"}`, base),
 		fmt.Sprintf(`{%s, "algo": "random", "scheduler": "asha", "rung_mode": "sync"}`, base),
 		fmt.Sprintf(`{%s, "algo": "hyperband", "scheduler": "none", "rung_mode": "async"}`, base),
+		fmt.Sprintf(`{%s, "algo": "hyperband", "scheduler": "none", "pruner": "median"}`, base),
+		fmt.Sprintf(`{%s, "algo": "hyperband", "pruner": "median"}`, base),
+		fmt.Sprintf(`{%s, "algo": "hyperband", "scheduler": "asha"}`, base),
+		fmt.Sprintf(`{%s, "algo": "hyperband", "cv_folds": 3}`, base),
+		fmt.Sprintf(`{%s, "algo": "random", "cv_folds": 3, "rung_mode": "async"}`, base),
 	}
 	for _, body := range bad {
 		if _, err := ParseSpec([]byte(body)); err == nil {
@@ -36,7 +43,9 @@ func TestSpecSchedulerValidation(t *testing.T) {
 	good := []string{
 		fmt.Sprintf(`{%s, "algo": "hyperband", "scheduler": "hyperband", "budget": 9}`, base),
 		fmt.Sprintf(`{%s, "algo": "random", "scheduler": "asha", "budget": 9}`, base),
-		fmt.Sprintf(`{%s, "algo": "hyperband", "scheduler": "none", "pruner": "median"}`, base),
+		fmt.Sprintf(`{%s, "algo": "hyperband", "budget": 9}`, base),
+		fmt.Sprintf(`{%s, "algo": "hyperband", "rung_mode": "async"}`, base),
+		fmt.Sprintf(`{%s, "algo": "random", "rung_mode": "async"}`, base),
 		fmt.Sprintf(`{%s, "algo": "hyperband", "scheduler": "hyperband", "rung_mode": "async"}`, base),
 		fmt.Sprintf(`{%s, "algo": "hyperband", "scheduler": "hyperband", "rung_mode": "sync"}`, base),
 		fmt.Sprintf(`{%s, "algo": "random", "scheduler": "asha", "rung_mode": "async"}`, base),
@@ -63,7 +72,7 @@ func TestRungModeDaemonFallback(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sampler, sched, err := spec.BuildScheduler("", defMode)
+		sampler, sched, _, err := spec.BuildDecisions("", defMode, "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,7 +80,7 @@ func TestRungModeDaemonFallback(t *testing.T) {
 			t.Fatalf("no scheduler built for %s", body)
 		}
 		if rh, ok := sampler.(*hpo.RungHyperband); ok {
-			return rh.Async()
+			return rh.AsyncRungs()
 		}
 		return true // asha is always async
 	}
@@ -91,32 +100,126 @@ func TestRungModeDaemonFallback(t *testing.T) {
 	}
 }
 
-// TestRungModeWithoutActiveSchedulerFailsStudy: a spec that explicitly
-// sets rung_mode but activates no scheduler (no scheduler field, and the
-// daemon has no default) must fail the study with a clear error instead
-// of silently running the batch path the user tried to avoid. The spec is
-// accepted at creation time — a daemon default could still supply the
-// scheduler — so the check lands at execution.
-func TestRungModeWithoutActiveSchedulerFailsStudy(t *testing.T) {
-	journal, err := store.OpenJournal(filepath.Join(t.TempDir(), "j"), store.JournalOptions{NoSync: true})
-	if err != nil {
-		t.Fatal(err)
+// TestResolutionTable pins the one resolution of scheduler, rung mode and
+// pruner: for every (spec, daemon -scheduler/-rung-mode/-pruner) row,
+// BuildDecisions (what the runner executes) and ReplayParams (what verify
+// replays) agree on the expected engine, or both reject with ErrBadSpec.
+func TestResolutionTable(t *testing.T) {
+	type want struct{ scheduler, mode, pruner string }
+	bad := want{scheduler: "bad"}
+	cases := []struct {
+		spec                     string
+		defSched, defMode, defPr string
+		want                     want
+	}{
+		{spec: `"algo": "hyperband"`, want: want{"hyperband", "sync", ""}},
+		{spec: `"algo": "hyperband"`, defMode: "async", want: want{"hyperband", "async", ""}},
+		{spec: `"algo": "hyperband", "scheduler": "hyperband"`, defSched: "asha", want: want{"hyperband", "sync", ""}},
+		{spec: `"algo": "hyperband", "rung_mode": "sync"`, defMode: "async", want: want{"hyperband", "sync", ""}},
+		{spec: `"algo": "hyperband"`, defPr: "median", want: want{"hyperband", "sync", ""}},
+		{spec: `"algo": "hyperband", "scheduler": "none"`, want: bad},
+		{spec: `"algo": "hyperband", "scheduler": "asha"`, want: bad},
+		{spec: `"algo": "hyperband", "cv_folds": 3`, want: bad},
+		{spec: `"algo": "hyperband", "pruner": "median"`, want: bad},
+		{spec: `"algo": "random"`, defSched: "hyperband", want: want{"", "", ""}},
+		{spec: `"algo": "random"`, defSched: "hyperband", defPr: "median", want: want{"", "", "median"}},
+		{spec: `"algo": "random", "scheduler": "hyperband"`, want: bad},
+		{spec: `"algo": "random"`, defSched: "asha", defMode: "sync", want: want{"asha", "async", ""}},
+		{spec: `"algo": "random", "scheduler": "asha", "rung_mode": "sync"`, want: bad},
+		{spec: `"algo": "random", "pruner": "median"`, defSched: "asha", want: want{"", "", "median"}},
+		{spec: `"algo": "random", "cv_folds": 3`, defSched: "asha", defPr: "asha", want: want{"", "", "asha"}},
+		{spec: `"algo": "random", "scheduler": "asha", "cv_folds": 3`, want: bad},
+		{spec: `"algo": "random", "scheduler": "asha", "pruner": "median"`, want: bad},
+		{spec: `"algo": "random", "rung_mode": "async"`, want: bad},
+		{spec: `"algo": "random", "rung_mode": "async"`, defSched: "asha", want: want{"asha", "async", ""}},
+		{spec: `"algo": "grid", "pruner": "none"`, defPr: "median", want: want{"", "", ""}},
 	}
-	t.Cleanup(func() { journal.Close() })
-	factory := func(spec StudySpec) (*runtime.Runtime, func(), error) {
-		rt, err := runtime.New(runtime.Options{Cluster: cluster.Local(2), Backend: runtime.Real})
-		if err != nil {
-			return nil, nil, err
+	for _, c := range cases {
+		name := fmt.Sprintf("{%s} -scheduler=%q -rung-mode=%q -pruner=%q", c.spec, c.defSched, c.defMode, c.defPr)
+		var spec StudySpec
+		body := fmt.Sprintf(`{%s, "budget": 9, "space": {"acc": {"type": "float", "min": 0.1, "max": 0.9}}}`, c.spec)
+		if err := json.Unmarshal([]byte(body), &spec); err != nil {
+			t.Fatal(err)
 		}
-		return rt, rt.Shutdown, nil
+
+		sampler, sched, pruner, err := spec.BuildDecisions(c.defSched, c.defMode, c.defPr)
+		var built want
+		switch s := sched.(type) {
+		case nil:
+		case *hpo.RungHyperband:
+			built.scheduler, built.mode = "hyperband", hpo.RungSync
+			if s.AsyncRungs() {
+				built.mode = hpo.RungAsync
+			}
+			if sampler != hpo.Sampler(s) {
+				t.Errorf("%s: RungHyperband is not also the sampler (%T)", name, sampler)
+			}
+		case *hpo.ASHAScheduler:
+			built.scheduler, built.mode = "asha", hpo.RungAsync
+		default:
+			t.Fatalf("%s: unexpected scheduler %T", name, sched)
+		}
+		if pruner != nil {
+			built.pruner = pruner.Name()
+		}
+		if err != nil {
+			if !errors.Is(err, ErrBadSpec) {
+				t.Errorf("%s: BuildDecisions error %v does not wrap ErrBadSpec", name, err)
+			}
+			built = bad
+		}
+		if built != c.want {
+			t.Errorf("%s: BuildDecisions = %+v (err %v), want %+v", name, built, err, c.want)
+		}
+
+		p, err := spec.ReplayParams(c.defSched, c.defMode, c.defPr)
+		replayed := want{p.Scheduler, p.RungMode, p.Pruner}
+		if err != nil {
+			if !errors.Is(err, ErrBadSpec) {
+				t.Errorf("%s: ReplayParams error %v does not wrap ErrBadSpec", name, err)
+			}
+			replayed = bad
+		}
+		if replayed != c.want {
+			t.Errorf("%s: ReplayParams = %+v (err %v), want %+v", name, replayed, err, c.want)
+		}
 	}
-	srv := New(journal, factory, 1)
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
-	t.Cleanup(func() { srv.Runner().Close(0) })
+}
+
+// TestRungModeWithoutActiveSchedulerFailsStudy: a spec that explicitly
+// sets rung_mode but activates no scheduler (no scheduler field, a
+// non-hyperband algo, and no daemon default) must fail the study with a
+// clear error instead of silently running without rungs. The spec is
+// accepted at creation time — a daemon default could still supply the
+// scheduler — so the check lands at execution. algo hyperband needs no
+// scheduler field: it is the rung scheduler, so the same rung_mode runs
+// to completion and verifies in that mode.
+func TestRungModeWithoutActiveSchedulerFailsStudy(t *testing.T) {
+	journal, ts := newRungTestServer(t)
 
 	code, created := postJSON(t, ts.URL+"/v1/studies", `{
-		"algo": "hyperband", "rung_mode": "async", "budget": 9,
+		"algo": "hyperband", "rung_mode": "async", "budget": 9, "seed": 42,
+		"space": {"acc": {"type": "float", "min": 0.1, "max": 0.9}},
+		"start": true}`)
+	if code != http.StatusCreated {
+		t.Fatalf("create = %d %v", code, created)
+	}
+	id := created["id"].(string)
+	waitForState(t, ts.URL, id, "done")
+	if promos := journal.StudyPromotes(id); len(promos) == 0 {
+		t.Fatal("algo hyperband study journaled no promotions")
+	}
+	code, body := postVerify(t, ts.URL+"/v1/studies/"+id+"/verify")
+	var resp VerifyResponse
+	if err := json.Unmarshal(body, &resp); err != nil || code != http.StatusOK {
+		t.Fatalf("verify = %d %v:\n%.400s", code, err, body)
+	}
+	if !resp.OK || resp.Report == nil || resp.Report.Mode != "hyperband-rung/async" {
+		t.Fatalf("verify = ok %v error %q report %+v, want ok in mode hyperband-rung/async", resp.OK, resp.Error, resp.Report)
+	}
+
+	code, created = postJSON(t, ts.URL+"/v1/studies", `{
+		"algo": "random", "rung_mode": "async", "budget": 9,
 		"space": {"acc": {"type": "float", "min": 0.1, "max": 0.9}},
 		"start": true}`)
 	if code != http.StatusCreated {

@@ -21,9 +21,12 @@ var ErrBadSpec = errors.New("server: invalid study spec")
 type StudySpec struct {
 	Name string `json:"name,omitempty"`
 	// Algo is the sampler: grid | random | bayes | tpe | hyperband.
+	// hyperband is the rung-driven Hyperband, which is the sampler and the
+	// scheduler at once (see Scheduler).
 	Algo  string          `json:"algo"`
 	Space json.RawMessage `json:"space"`
-	// Budget bounds random/model-based samplers (hyperband: max resource).
+	// Budget bounds random/model-based samplers; for hyperband, and as the
+	// asha scheduler's promotion ceiling, it is the max epochs per trial R.
 	Budget int    `json:"budget,omitempty"`
 	Seed   uint64 `json:"seed,omitempty"`
 	// Dataset and Samples select the objective's training data
@@ -54,8 +57,9 @@ type StudySpec struct {
 	PrunerWarmup int `json:"pruner_warmup,omitempty"`
 	// Scheduler selects rung-driven successive halving over the live
 	// report stream: "" (daemon default) | none | hyperband | asha.
-	// "hyperband" replaces the sampler with the rung-driven Hyperband
-	// (Algo must be hyperband); "asha" keeps the configured sampler and
+	// "hyperband" is what Algo hyperband always runs, so with that algo
+	// the field may only be empty or "hyperband" (and with any other algo
+	// it is an error); "asha" keeps the configured sampler and
 	// promotes/halts trials at asynchronous rung boundaries. Trials are
 	// submitted once and continued past their initial budget via task
 	// extension instead of being re-submitted per rung. Reuses PrunerEta
@@ -63,10 +67,10 @@ type StudySpec struct {
 	// Budget as the epoch ceiling; mutually exclusive with Pruner and
 	// with CVFolds > 1.
 	Scheduler string `json:"scheduler,omitempty"`
-	// RungMode selects how an active hyperband scheduler settles rungs:
+	// RungMode selects how the hyperband scheduler settles rungs:
 	// "" (daemon default, then sync) | sync | async. Sync rungs are
-	// barriers — conformant with the batch sampler but requiring the
-	// runtime to hold a whole bracket concurrently; async rungs decide
+	// barriers — they promote exactly successive halving's sets but need
+	// the runtime to hold a whole bracket concurrently; async rungs decide
 	// per-arrival (ASHA-style), run on any capacity down to one slot, and
 	// execute independent brackets in parallel. The asha scheduler is
 	// inherently async: requesting sync for it is rejected.
@@ -107,23 +111,13 @@ func ParseSpec(raw []byte) (StudySpec, error) {
 	if _, err := spec.BuildSpace(); err != nil {
 		return spec, fmt.Errorf("%w: %v", ErrBadSpec, err)
 	}
-	if _, err := spec.buildSampler(); err != nil {
-		return spec, fmt.Errorf("%w: %v", ErrBadSpec, err)
-	}
-	if _, err := spec.BuildPruner(""); err != nil {
-		return spec, fmt.Errorf("%w: %v", ErrBadSpec, err)
-	}
-	if !hpo.KnownRungMode(spec.RungMode) {
-		return spec, fmt.Errorf("%w: unknown rung_mode %q (want sync or async)", ErrBadSpec, spec.RungMode)
-	}
-	if spec.RungMode != "" && spec.Scheduler == "none" {
-		return spec, fmt.Errorf("%w: rung_mode %q needs a scheduler, but the spec disables scheduling", ErrBadSpec, spec.RungMode)
-	}
-	if _, _, err := spec.BuildScheduler("", ""); err != nil {
-		return spec, fmt.Errorf("%w: %v", ErrBadSpec, err)
-	}
-	if spec.schedulerActive(spec.Scheduler) && spec.Pruner != "" && spec.Pruner != "none" {
-		return spec, fmt.Errorf("%w: scheduler and pruner are mutually exclusive (the scheduler already halts rung losers)", ErrBadSpec)
+	// Validate under the most permissive daemon defaults. Outside algo
+	// hyperband, asha is the only scheduler a daemon default can activate,
+	// so a spec rejected here is rejected by every daemon; one that needs
+	// a default (a rung_mode with no scheduler field) is checked again
+	// against the real defaults at execution.
+	if _, _, _, err := spec.BuildDecisions("asha", "", ""); err != nil {
+		return spec, err
 	}
 	if _, err := datasets.ByName(spec.Dataset, 8, 1); err != nil {
 		return spec, fmt.Errorf("%w: %v", ErrBadSpec, err)
@@ -136,75 +130,131 @@ func (s StudySpec) BuildSpace() (*hpo.Space, error) {
 	return hpo.ParseSpaceJSON(s.Space)
 }
 
-// buildSampler constructs a fresh sampler for one run.
-func (s StudySpec) buildSampler() (hpo.Sampler, error) {
-	space, err := s.BuildSpace()
-	if err != nil {
-		return nil, err
+// resolution is a study's decision engine once the daemon defaults apply:
+// at most one of Scheduler and Pruner is set.
+type resolution struct {
+	// Scheduler is "" (none), "hyperband" or "asha".
+	Scheduler string
+	// RungMode is sync or async for hyperband, async for asha and ""
+	// without a scheduler.
+	RungMode string
+	// Pruner is "" (none), "median" or "asha".
+	Pruner string
+}
+
+// resolve is the one place a spec's scheduler, rung mode and pruner are
+// decided: BuildDecisions (the runner, and ParseSpec's validation) and
+// ReplayParams (verify, compaction, `hpo replay`) both call it, so replay
+// re-derives decisions under the resolution the live run used. An empty
+// field falls back to the daemon default (-scheduler, -rung-mode,
+// -pruner); "none" disables either way.
+//
+//   - Algo hyperband is the rung-driven Hyperband: Scheduler may only be
+//     empty or "hyperband", and CVFolds > 1 or an explicit pruner is an
+//     error. The daemon's scheduler and pruner defaults do not apply.
+//   - Any other algo takes an explicit asha scheduler, or the daemon
+//     default. A default that does not fit the spec (hyperband, or any
+//     scheduler next to CVFolds > 1 or an explicit pruner) falls back to
+//     none rather than failing specs that worked before the flag; only
+//     explicit fields error.
+//   - The rung mode is the spec's, then the daemon's, then sync. The
+//     daemon's sync default skips asha, which has no synchronous mode. A
+//     rung mode with no active scheduler is an error: failing beats
+//     silently running without the rungs the user asked for.
+//   - Without a scheduler the pruner is the spec's, then the daemon's.
+//
+// Every error wraps ErrBadSpec.
+func (s StudySpec) resolve(defaultScheduler, defaultMode, defaultPruner string) (resolution, error) {
+	if !hpo.KnownScheduler(s.Scheduler) {
+		return resolution{}, fmt.Errorf("%w: unknown scheduler %q (want none, hyperband or asha)", ErrBadSpec, s.Scheduler)
 	}
-	return hpo.NewSampler(s.Algo, space, s.Budget, s.Seed)
-}
-
-// BuildPruner constructs the spec's pruner; an empty Pruner field falls
-// back to defaultName (the daemon's -pruner flag), and "none" explicitly
-// disables pruning either way.
-func (s StudySpec) BuildPruner(defaultName string) (hpo.Pruner, error) {
-	name := s.Pruner
-	if name == "" {
-		name = defaultName
+	if !hpo.KnownRungMode(s.RungMode) {
+		return resolution{}, fmt.Errorf("%w: unknown rung_mode %q (want sync or async)", ErrBadSpec, s.RungMode)
 	}
-	return hpo.NewPruner(name, s.PrunerEta, s.PrunerWarmup)
-}
-
-// schedulerActive reports whether a scheduler name (after defaulting)
-// selects rung-driven mode.
-func (s StudySpec) schedulerActive(name string) bool {
-	return name != "" && name != "none"
-}
-
-// BuildScheduler constructs the spec's rung-driven scheduler; an empty
-// Scheduler field falls back to defaultName (the daemon's -scheduler
-// flag), and "none" explicitly disables scheduling either way. The rung
-// mode follows the same fallback: an empty rung_mode takes defaultMode
-// (the daemon's -rung-mode flag), and an explicit spec field always wins.
-// A daemon default that is incompatible with the spec (hyperband default
-// on a grid study, asha on a cross-validated one, a daemon-default sync
-// mode on an asha spec) falls back to no scheduler / the scheduler's
-// natural mode rather than failing specs that worked before the flag —
-// only explicit "scheduler"/"rung_mode" fields error. The returned
-// sampler, when non-nil, replaces the spec's sampler (rung-driven
-// Hyperband owns both roles).
-func (s StudySpec) BuildScheduler(defaultName, defaultMode string) (hpo.Sampler, hpo.TrialScheduler, error) {
+	explicitPruner := s.Pruner != "" && s.Pruner != "none"
 	name := s.Scheduler
-	defaulted := name == ""
-	if defaulted {
-		name = defaultName
+	switch {
+	case s.Algo == "hyperband":
+		if name != "" && name != "hyperband" {
+			return resolution{}, fmt.Errorf("%w: algo hyperband runs the rung-driven Hyperband scheduler, not scheduler %q", ErrBadSpec, name)
+		}
+		name = "hyperband"
+	case name == "hyperband":
+		return resolution{}, fmt.Errorf("%w: scheduler hyperband replaces the sampler and requires algo hyperband, got %q", ErrBadSpec, s.Algo)
+	case name == "":
+		name = defaultScheduler
+		if name == "hyperband" || s.CVFolds > 1 || explicitPruner {
+			name = ""
+		}
 	}
-	if !s.schedulerActive(name) {
-		return nil, nil, nil
-	}
-	if defaulted && (s.CVFolds > 1 || (name == "hyperband" && s.Algo != "hyperband") ||
-		(s.Pruner != "" && s.Pruner != "none")) {
-		return nil, nil, nil
+	if name == "" || name == "none" {
+		if s.RungMode != "" {
+			return resolution{}, fmt.Errorf("%w: rung_mode %q needs a rung scheduler, but none applies (set scheduler, or use algo hyperband)", ErrBadSpec, s.RungMode)
+		}
+		pruner := s.Pruner
+		if pruner == "" {
+			pruner = defaultPruner
+		}
+		if pruner == "none" {
+			pruner = ""
+		}
+		return resolution{Pruner: pruner}, nil
 	}
 	if s.CVFolds > 1 {
-		return nil, nil, fmt.Errorf("server: scheduler %q requires cv_folds <= 1 (cross-validated objectives cannot continue past their budget)", name)
+		return resolution{}, fmt.Errorf("%w: %s requires cv_folds <= 1 (cross-validated objectives cannot continue past their budget)", ErrBadSpec, s.schedulerField(name))
+	}
+	if explicitPruner {
+		return resolution{}, fmt.Errorf("%w: %s and pruner %q are mutually exclusive (the scheduler already halts rung losers)", ErrBadSpec, s.schedulerField(name), s.Pruner)
 	}
 	mode := s.RungMode
 	if mode == "" {
 		mode = defaultMode
-		if name == "asha" && mode == hpo.RungSync {
-			// The daemon-wide sync default is a hyperband preference; asha
-			// has no synchronous mode, so the default must not fail specs
-			// that never asked for one.
-			mode = ""
-		}
+	}
+	switch {
+	case name == "asha" && s.RungMode == hpo.RungSync:
+		return resolution{}, fmt.Errorf("%w: scheduler asha has no synchronous mode (its decisions are per-arrival)", ErrBadSpec)
+	case name == "asha":
+		mode = hpo.RungAsync
+	case mode == "":
+		mode = hpo.RungSync
+	}
+	return resolution{Scheduler: name, RungMode: mode}, nil
+}
+
+// schedulerField names where an active scheduler came from, for errors.
+func (s StudySpec) schedulerField(name string) string {
+	if s.Algo == "hyperband" {
+		return "algo hyperband"
+	}
+	return fmt.Sprintf("scheduler %q", name)
+}
+
+// BuildDecisions constructs a fresh sampler and decision engine for one
+// run under resolve's rules: for algo hyperband one RungHyperband in both
+// the sampler and the scheduler role, otherwise the algo's sampler with
+// the resolved asha scheduler or pruner (either or both may be nil).
+// Every error wraps ErrBadSpec.
+func (s StudySpec) BuildDecisions(defaultScheduler, defaultMode, defaultPruner string) (hpo.Sampler, hpo.TrialScheduler, hpo.Pruner, error) {
+	res, err := s.resolve(defaultScheduler, defaultMode, defaultPruner)
+	if err != nil {
+		return nil, nil, nil, err
 	}
 	space, err := s.BuildSpace()
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, fmt.Errorf("%w: %v", ErrBadSpec, err)
 	}
-	return hpo.NewTrialScheduler(name, s.Algo, space, s.Budget, s.PrunerEta, s.PrunerWarmup, s.Seed, mode)
+	sampler, sched, err := hpo.NewTrialScheduler(res.Scheduler, space, s.Budget, s.PrunerEta, s.PrunerWarmup, s.Seed, res.RungMode)
+	if err == nil && sampler == nil {
+		sampler, err = hpo.NewSampler(s.Algo, space, s.Budget, s.Seed)
+	}
+	var pruner hpo.Pruner
+	if err == nil {
+		pruner, err = hpo.NewPruner(res.Pruner, s.PrunerEta, s.PrunerWarmup)
+	}
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("%w: %v", ErrBadSpec, err)
+	}
+	return sampler, sched, pruner, nil
 }
 
 // BuildObjective constructs the training objective the spec describes.
@@ -237,60 +287,31 @@ func (s StudySpec) memoScope() string {
 	return store.MemoScope(s.Dataset, s.Samples, s.CVFolds, hidden, s.Seed, s.Target)
 }
 
-// ReplayParams maps the spec onto the replay engine's decision parameters,
-// resolving the daemon defaults exactly like the runner does at launch
-// (BuildScheduler / BuildPruner, including the defaulted-incompatible
-// fallbacks and the scheduler-supersedes-default-pruner rule). Keeping
-// this next to those builders is what makes the verify endpoint honest:
-// replay re-derives decisions under the same resolution the live run used.
+// ReplayParams maps the spec onto the replay engine's decision parameters
+// under the same resolution BuildDecisions gives the live run (resolve),
+// so the verify endpoint re-derives decisions under the daemon defaults
+// the runner applied at launch.
 func (s StudySpec) ReplayParams(defaultScheduler, defaultMode, defaultPruner string) (replay.Params, error) {
-	space, err := s.BuildSpace()
+	res, err := s.resolve(defaultScheduler, defaultMode, defaultPruner)
 	if err != nil {
 		return replay.Params{}, err
 	}
+	space, err := s.BuildSpace()
+	if err != nil {
+		return replay.Params{}, fmt.Errorf("%w: %v", ErrBadSpec, err)
+	}
 	p := replay.Params{
-		Algo:   s.Algo,
-		Space:  space,
-		Budget: s.Budget,
-		Seed:   s.Seed,
-		Target: s.Target,
+		Scheduler: res.Scheduler,
+		RungMode:  res.RungMode,
+		Space:     space,
+		Budget:    s.Budget,
+		Seed:      s.Seed,
+		Target:    s.Target,
 	}
-
-	// Scheduler name + rung mode: mirror BuildScheduler's fallback chain.
-	name := s.Scheduler
-	defaulted := name == ""
-	if defaulted {
-		name = defaultScheduler
-	}
-	active := s.schedulerActive(name)
-	if active && defaulted && (s.CVFolds > 1 || (name == "hyperband" && s.Algo != "hyperband") ||
-		(s.Pruner != "" && s.Pruner != "none")) {
-		active = false
-	}
-	if active {
-		mode := s.RungMode
-		if mode == "" {
-			mode = defaultMode
-			if name == "asha" && mode == hpo.RungSync {
-				mode = ""
-			}
-		}
-		p.Scheduler = name
-		p.RungMode = mode
-		p.Eta = s.PrunerEta
-		p.MinResource = s.PrunerWarmup
-		return p, nil
-	}
-
-	// No scheduler: a pruner may be active (spec field or daemon default).
-	pruner := s.Pruner
-	if pruner == "" {
-		pruner = defaultPruner
-	}
-	if pruner != "" && pruner != "none" {
-		p.Pruner = pruner
-		p.PrunerEta = s.PrunerEta
-		p.PrunerWarmup = s.PrunerWarmup
+	if res.Scheduler != "" {
+		p.Eta, p.MinResource = s.PrunerEta, s.PrunerWarmup
+	} else if res.Pruner != "" {
+		p.Pruner, p.PrunerEta, p.PrunerWarmup = res.Pruner, s.PrunerEta, s.PrunerWarmup
 	}
 	return p, nil
 }

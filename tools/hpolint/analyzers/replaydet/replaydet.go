@@ -5,7 +5,7 @@
 // are forbidden there.
 //
 // Scope: every file of internal/replay, and the decision-path files of
-// internal/hpo (decide.go, scheduler.go, pruner.go, hyperband.go). A map
+// internal/hpo (decide.go, scheduler.go, pruner.go). A map
 // range whose body is exactly one append into a slice is allowed — the
 // collect-then-sort idiom; anything else needs a sort or a justified
 // //lint:ignore.
@@ -33,7 +33,6 @@ var decisionFiles = map[string]bool{
 	"decide.go":    true,
 	"scheduler.go": true,
 	"pruner.go":    true,
-	"hyperband.go": true,
 }
 
 // randAllowed lists the math/rand functions that do not touch the
