@@ -1,9 +1,12 @@
 package datasets
 
 import (
-	"bytes"
-	"os"
-	"path/filepath"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"fmt"
+	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -48,6 +51,56 @@ func TestSyntheticDeterministic(t *testing.T) {
 	}
 }
 
+// syntheticGolden is the SHA-256 TestSyntheticGolden computes. It pins the
+// generated data itself: a generator change that shifts every dataset the
+// same way still passes TestSyntheticDeterministic, but not this.
+const syntheticGolden = "fac52d20db7de0cef2e15487b790a477f782d4267f4e34d0948877c4c18cff41"
+
+// TestSyntheticGolden hashes the float64 bits of X and the labels Y of
+// MNISTLike and CIFARLike at several sizes and seeds, plus one odd-geometry
+// set whose 45 pixels per sample carry a cached normal variate from one
+// sample into the next, and whose shift exceeds its width.
+func TestSyntheticGolden(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("the digest pins amd64 rounding; compilers for other GOARCHes may fuse u*u + v*v into one FMA")
+	}
+	h := sha256.New()
+	var b [8]byte
+	add := func(ds *Dataset) {
+		for _, v := range ds.X.Data() {
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+			h.Write(b[:])
+		}
+		for _, y := range ds.Y {
+			binary.LittleEndian.PutUint64(b[:], uint64(y))
+			h.Write(b[:])
+		}
+	}
+	for _, seed := range []uint64{1, 2, 99} {
+		for _, n := range []int{1, 8, 63, 200} {
+			add(MNISTLike(n, seed))
+			add(CIFARLike(n, seed))
+		}
+	}
+	add(Synthetic(SynthConfig{Samples: 37, Classes: 4, H: 5, W: 3, C: 3,
+		Noise: 0.7, Shift: 4, PrototypeScale: 1.2, Seed: 5, Name: "odd"}))
+	if got := hex.EncodeToString(h.Sum(nil)); got != syntheticGolden {
+		t.Fatalf("synthetic data digest = %s, want %s", got, syntheticGolden)
+	}
+}
+
+// BenchmarkMNISTLike builds the MNIST-like set at churn_restart's (200)
+// and train_heavy's (800) sample counts.
+func BenchmarkMNISTLike(b *testing.B) {
+	for _, n := range []int{200, 800} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			for b.Loop() {
+				MNISTLike(n, 1)
+			}
+		})
+	}
+}
+
 func TestSyntheticBalancedLabels(t *testing.T) {
 	ds := MNISTLike(100, 3)
 	counts := make([]int, 10)
@@ -85,18 +138,6 @@ func TestSplitBadFracPanics(t *testing.T) {
 	MNISTLike(10, 1).Split(1.0, tensor.NewRNG(1))
 }
 
-func TestSubsample(t *testing.T) {
-	ds := MNISTLike(100, 6)
-	sub := ds.Subsample(30, tensor.NewRNG(7))
-	if sub.Len() != 30 {
-		t.Fatalf("Subsample len = %d", sub.Len())
-	}
-	same := ds.Subsample(1000, tensor.NewRNG(7))
-	if same != ds {
-		t.Fatal("oversized Subsample should return the original")
-	}
-}
-
 func TestByName(t *testing.T) {
 	for _, name := range []string{"mnist", "mnist-like", "cifar10", "cifar", "cifar-like"} {
 		if _, err := ByName(name, 10, 1); err != nil {
@@ -105,6 +146,23 @@ func TestByName(t *testing.T) {
 	}
 	if _, err := ByName("imagenet", 10, 1); err == nil {
 		t.Fatal("expected error for unknown dataset")
+	}
+	// Check bounds samples by the real dataset's size without building.
+	for _, c := range []struct {
+		name    string
+		samples int
+		ok      bool
+	}{
+		{"mnist", 1, true}, {"mnist", 70000, true}, {"mnist", 70001, false}, {"mnist", 0, false},
+		{"cifar10", 60000, true}, {"cifar-like", 60001, false}, {"imagenet", 10, false},
+		{"mnist", 100000000, false},
+	} {
+		if err := Check(c.name, c.samples); (err == nil) != c.ok {
+			t.Errorf("Check(%q, %d) = %v, want ok=%v", c.name, c.samples, err, c.ok)
+		}
+	}
+	if _, err := ByName("mnist", 70001, 1); err == nil {
+		t.Fatal("ByName must refuse more samples than the real dataset has")
 	}
 }
 
@@ -153,107 +211,25 @@ func TestClassesAreSeparable(t *testing.T) {
 	}
 }
 
-func TestIDXRoundTrip(t *testing.T) {
-	dims := []int{3, 4, 5}
-	data := make([]byte, 60)
-	for i := range data {
-		data[i] = byte(i)
-	}
-	var buf bytes.Buffer
-	if err := WriteIDX(&buf, dims, data); err != nil {
-		t.Fatal(err)
-	}
-	gotDims, gotData, err := ReadIDX(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(gotDims) != 3 || gotDims[0] != 3 || gotDims[2] != 5 {
-		t.Fatalf("dims = %v", gotDims)
-	}
-	if !bytes.Equal(gotData, data) {
-		t.Fatal("payload mismatch")
-	}
-}
-
-func TestIDXRejectsBadMagic(t *testing.T) {
-	if _, _, err := ReadIDX(bytes.NewReader([]byte{1, 2, 3, 4})); err == nil {
-		t.Fatal("expected error for bad magic")
-	}
-	if _, _, err := ReadIDX(bytes.NewReader([]byte{0, 0, 0x0D, 1, 0, 0, 0, 1})); err == nil {
-		t.Fatal("expected error for unsupported type")
-	}
-}
-
-func TestWriteIDXValidation(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteIDX(&buf, []int{2}, []byte{1}); err == nil {
-		t.Fatal("expected length mismatch error")
-	}
-	if err := WriteIDX(&buf, nil, nil); err == nil {
-		t.Fatal("expected dimensionality error")
-	}
-}
-
-func TestLoadMNISTFromSyntheticIDXFiles(t *testing.T) {
-	dir := t.TempDir()
-	n, h, w := 7, 28, 28
-	imgs := make([]byte, n*h*w)
-	for i := range imgs {
-		imgs[i] = byte(i % 256)
-	}
-	labels := make([]byte, n)
-	for i := range labels {
-		labels[i] = byte(i % 10)
-	}
-	writeFile := func(name string, dims []int, data []byte) {
-		f, err := os.Create(filepath.Join(dir, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer f.Close()
-		if err := WriteIDX(f, dims, data); err != nil {
-			t.Fatal(err)
-		}
-	}
-	writeFile("train-images-idx3-ubyte", []int{n, h, w}, imgs)
-	writeFile("train-labels-idx1-ubyte", []int{n}, labels)
-
-	ds, err := LoadMNIST(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ds.Len() != n || ds.Features() != h*w {
-		t.Fatalf("loaded %d×%d", ds.Len(), ds.Features())
-	}
-	if ds.Y[3] != 3 {
-		t.Fatalf("label = %d", ds.Y[3])
-	}
-	// Pixels must be scaled to [0,1].
-	if ds.X.Max() > 1 || ds.X.Min() < 0 {
-		t.Fatalf("pixel range [%v, %v]", ds.X.Min(), ds.X.Max())
-	}
-}
-
-func TestLoadMNISTMissingFiles(t *testing.T) {
-	if _, err := LoadMNIST(t.TempDir()); err == nil {
-		t.Fatal("expected error for empty directory")
-	}
-}
-
-// Property: subsets always preserve feature width, class count and label
-// validity.
+// Property: Split's subsets always partition the samples and preserve
+// feature width, class count and label validity.
 func TestSubsetInvariantsProperty(t *testing.T) {
 	ds := CIFARLike(60, 11)
 	f := func(seed uint64) bool {
 		rng := tensor.NewRNG(seed)
-		n := 1 + rng.Intn(59)
-		sub := ds.Subsample(n, rng)
-		if sub.Len() != n || sub.Features() != ds.Features() || sub.Classes != ds.Classes {
+		frac := (1 + float64(rng.Intn(58))) / 60
+		tr, va := ds.Split(frac, rng)
+		if tr.Len()+va.Len() != ds.Len() {
 			return false
 		}
-		for _, y := range sub.Y {
-			if y < 0 || y >= sub.Classes {
+		for _, sub := range []*Dataset{tr, va} {
+			if sub.Features() != ds.Features() || sub.Classes != ds.Classes {
 				return false
+			}
+			for _, y := range sub.Y {
+				if y < 0 || y >= sub.Classes {
+					return false
+				}
 			}
 		}
 		return true

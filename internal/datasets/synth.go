@@ -10,8 +10,8 @@
 //     learn more slowly and plateau lower, matching Figure 8's "slightly
 //     bigger and more complex benchmark".
 //
-// An IDX-format loader (idx.go) reads the real MNIST files when they are
-// available on disk, so the substitution is confined to data synthesis.
+// Real MNIST waits until its files, and a way to select them, are in the
+// repository; until then every dataset is synthesized from its seed.
 package datasets
 
 import (
@@ -51,16 +51,6 @@ func (d *Dataset) Split(trainFrac float64, rng *tensor.RNG) (train, val *Dataset
 	perm := rng.Perm(n)
 	nTrain := int(float64(n) * trainFrac)
 	return d.subset(perm[:nTrain], "/train"), d.subset(perm[nTrain:], "/val")
-}
-
-// Subsample returns a deterministic random subset of n samples (n clipped to
-// the dataset size), used to scale workloads to a time budget.
-func (d *Dataset) Subsample(n int, rng *tensor.RNG) *Dataset {
-	if n >= d.Len() {
-		return d
-	}
-	perm := rng.Perm(d.Len())
-	return d.subset(perm[:n], "/sub")
 }
 
 func (d *Dataset) subset(rows []int, suffix string) *Dataset {
@@ -172,37 +162,68 @@ func makePrototype(rng *tensor.RNG, cfg SynthConfig) []float64 {
 	return proto
 }
 
-// renderSample writes one noisy, shifted copy of proto into dst.
+// renderSample writes one noisy, shifted copy of proto into dst: one
+// FillNorm draws the noise in pixel order, then each row adds the
+// prototype shifted by (dr, dc).
 func renderSample(rng *tensor.RNG, cfg SynthConfig, proto []float64, dst []float64) {
 	dr, dc := 0, 0
 	if cfg.Shift > 0 {
 		dr = rng.Intn(2*cfg.Shift+1) - cfg.Shift
 		dc = rng.Intn(2*cfg.Shift+1) - cfg.Shift
 	}
+	rng.FillNorm(dst)
+	rowLen := cfg.W * cfg.C
 	for r := 0; r < cfg.H; r++ {
-		for c := 0; c < cfg.W; c++ {
-			sr, sc := r+dr, c+dc
-			for ch := 0; ch < cfg.C; ch++ {
-				v := 0.0
-				if sr >= 0 && sr < cfg.H && sc >= 0 && sc < cfg.W {
-					v = proto[(sr*cfg.W+sc)*cfg.C+ch]
-				}
-				dst[(r*cfg.W+c)*cfg.C+ch] = v + rng.NormFloat64()*cfg.Noise
-			}
+		row := dst[r*rowLen : (r+1)*rowLen]
+		// Elements [lo, hi) show the prototype, at src+i. The rest are off
+		// the image: 0 + n·Noise, so a −0 product still rounds to +0.
+		lo, hi, src := 0, 0, 0
+		if sr := r + dr; sr >= 0 && sr < cfg.H {
+			lo = min(max(0, -dc), cfg.W) * cfg.C
+			hi = max(min(cfg.W, cfg.W-dc)*cfg.C, lo)
+			src = sr*rowLen + dc*cfg.C
+		}
+		for i := 0; i < lo; i++ {
+			row[i] = 0 + row[i]*cfg.Noise
+		}
+		for i := lo; i < hi; i++ {
+			row[i] = proto[src+i] + row[i]*cfg.Noise
+		}
+		for i := hi; i < rowLen; i++ {
+			row[i] = 0 + row[i]*cfg.Noise
 		}
 	}
+}
+
+// builtin maps every name ByName accepts to its builder and the sample
+// count of the real dataset it stands in for, which bounds samples.
+var builtin = map[string]struct {
+	build      func(samples int, seed uint64) *Dataset
+	maxSamples int
+}{
+	"mnist": {MNISTLike, 70000}, "mnist-like": {MNISTLike, 70000},
+	"cifar10": {CIFARLike, 60000}, "cifar": {CIFARLike, 60000}, "cifar-like": {CIFARLike, 60000},
+}
+
+// Check reports, without building anything, whether ByName accepts name
+// and samples: a built-in dataset, and 1 to its real size samples.
+func Check(name string, samples int) error {
+	b, ok := builtin[name]
+	if !ok {
+		return fmt.Errorf("datasets: unknown dataset %q (want mnist or cifar10)", name)
+	}
+	if samples < 1 || samples > b.maxSamples {
+		return fmt.Errorf("datasets: %s takes 1 to %d samples, got %d", name, b.maxSamples, samples)
+	}
+	return nil
 }
 
 // ByName returns one of the built-in datasets ("mnist" or "cifar10", with
 // the given sample count and seed), matching the dataset names used on the
 // command line.
 func ByName(name string, samples int, seed uint64) (*Dataset, error) {
-	switch name {
-	case "mnist", "mnist-like":
-		return MNISTLike(samples, seed), nil
-	case "cifar10", "cifar", "cifar-like":
-		return CIFARLike(samples, seed), nil
-	default:
-		return nil, fmt.Errorf("datasets: unknown dataset %q (want mnist or cifar10)", name)
+	if err := Check(name, samples); err != nil {
+		return nil, err
 	}
+	return builtin[name].build(samples, seed), nil
 }

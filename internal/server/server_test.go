@@ -179,6 +179,51 @@ func TestServerErrorsAreTyped(t *testing.T) {
 	}
 }
 
+// TestServerRejectsOversizedSamples: more samples than the real dataset
+// has is a bad spec at create (HTTP 400, nothing journaled), checked
+// without synthesizing data, rather than an allocation the size of
+// samples × features at execution.
+func TestServerRejectsOversizedSamples(t *testing.T) {
+	_, ts, _ := newTestServer(t)
+	for _, spec := range []string{
+		`{"algo":"grid","space":{"num_epochs":[1]},"dataset":"mnist","samples":100000000,"start":true}`,
+		`{"algo":"grid","space":{"num_epochs":[1]},"dataset":"cifar10","samples":60001}`,
+	} {
+		code, body := postJSON(t, ts.URL+"/v1/studies", spec)
+		if msg, _ := body["error"].(string); code != http.StatusBadRequest || !strings.Contains(msg, "samples") {
+			t.Fatalf("create %s = %d %v, want 400 naming samples", spec, code, body)
+		}
+	}
+	if _, list := getJSON(t, ts.URL+"/v1/studies"); len(list["studies"].([]interface{})) != 0 {
+		t.Fatalf("a refused spec was journaled: %v", list)
+	}
+}
+
+// TestServerResumeFailsOversizedSamplesStudy: a study journaled with such
+// a spec before create checked samples fails cleanly when the runner
+// resumes it, before any trial runs, instead of re-queuing the same
+// allocation on every restart.
+func TestServerResumeFailsOversizedSamplesStudy(t *testing.T) {
+	srv, ts, calls := newTestServer(t)
+	spec := `{"algo":"grid","space":{"num_epochs":[1]},"dataset":"mnist","samples":100000000}`
+	if err := srv.store.CreateStudy(store.StudyMeta{ID: "big", Name: "big", Spec: []byte(spec)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.store.SetStudyState("big", store.StateRunning, "", nil); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := srv.Runner().Resume(); err != nil || n != 1 {
+		t.Fatalf("Resume = %d, %v; want the one interrupted study", n, err)
+	}
+	study := waitForState(t, ts.URL, "big", "failed")
+	if msg, _ := study["error"].(string); !strings.Contains(msg, "samples") {
+		t.Fatalf("failure does not name samples: %q", msg)
+	}
+	if n := calls.Load(); n != 0 {
+		t.Fatalf("%d trials ran for a study that must fail first", n)
+	}
+}
+
 func TestServerCreateWithStartRunsAsync(t *testing.T) {
 	_, ts, _ := newTestServer(t)
 	spec := `{"algo":"grid","space":{"num_epochs":[1,2]},"start":true}`

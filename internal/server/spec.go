@@ -30,7 +30,7 @@ type StudySpec struct {
 	Budget int    `json:"budget,omitempty"`
 	Seed   uint64 `json:"seed,omitempty"`
 	// Dataset and Samples select the objective's training data
-	// (synthetic mnist | cifar10 substitutes).
+	// (synthetic mnist | cifar10 substitutes, up to 70 000 | 60 000 samples).
 	Dataset string `json:"dataset,omitempty"`
 	Samples int    `json:"samples,omitempty"`
 	// CVFolds > 1 evaluates each config with k-fold cross-validation.
@@ -119,7 +119,7 @@ func ParseSpec(raw []byte) (StudySpec, error) {
 	if _, _, _, err := spec.BuildDecisions("asha", "", ""); err != nil {
 		return spec, err
 	}
-	if _, err := datasets.ByName(spec.Dataset, 8, 1); err != nil {
+	if err := datasets.Check(spec.Dataset, spec.Samples); err != nil {
 		return spec, fmt.Errorf("%w: %v", ErrBadSpec, err)
 	}
 	return spec, nil

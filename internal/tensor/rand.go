@@ -1,6 +1,9 @@
 package tensor
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // RNG is a small, fast, deterministic pseudo-random number generator
 // (SplitMix64). Every stochastic component in this repository (weight
@@ -12,7 +15,7 @@ import "math"
 // (see Split).
 type RNG struct {
 	state uint64
-	// cached second normal variate for Box-Muller
+	// cached second normal variate of the polar method
 	hasGauss bool
 	gauss    float64
 }
@@ -50,30 +53,69 @@ func (r *RNG) Intn(n int) int {
 	return int(r.Uint64() % uint64(n))
 }
 
-// Range returns a uniform value in [lo, hi).
-func (r *RNG) Range(lo, hi float64) float64 {
-	return lo + (hi-lo)*r.Float64()
-}
-
-// NormFloat64 returns a standard normal variate (Box-Muller).
+// NormFloat64 returns a standard normal variate (Marsaglia's polar
+// method). Each accepted candidate yields two variates; the second is
+// cached for the next call.
 func (r *RNG) NormFloat64() float64 {
 	if r.hasGauss {
 		r.hasGauss = false
 		return r.gauss
 	}
-	var u, v, s float64
+	u, v, s := r.polar()
+	f := math.Sqrt(-2 * math.Log(s) / s)
+	r.gauss = v * f
+	r.hasGauss = true
+	return u * f
+}
+
+// polar draws uniform candidates (u, v) in the square (-1, 1)² until one
+// falls strictly inside the unit disc, and returns it with s = u² + v².
+func (r *RNG) polar() (u, v, s float64) {
 	for {
 		u = 2*r.Float64() - 1
 		v = 2*r.Float64() - 1
 		s = u*u + v*v
 		if s > 0 && s < 1 {
-			break
+			return u, v, s
 		}
 	}
-	f := math.Sqrt(-2 * math.Log(s) / s)
-	r.gauss = v * f
-	r.hasGauss = true
-	return u * f
+}
+
+// normChunk is how many candidate pairs FillNorm draws before scaling them.
+const normChunk = 256
+
+// FillNorm fills dst with standard normal variates. It gives exactly the
+// values, and leaves exactly the generator state (the cached second
+// variate included), of calling NormFloat64 once per element in order.
+// Per chunk, a scalar pass draws the accepted (u, v) pairs into dst, then
+// each pair is multiplied by f = sqrt(-2·log(s)/s): whole groups of four
+// in the AVX2 kernel polar4, the rest by NormFloat64's expression.
+func (r *RNG) FillNorm(dst []float64) {
+	if len(dst) > 0 && r.hasGauss {
+		r.hasGauss = false
+		dst[0] = r.gauss
+		dst = dst[1:]
+	}
+	var s [normChunk]float64
+	for uv := range slices.Chunk(dst[:len(dst)&^1], 2*normChunk) {
+		n := len(uv) / 2
+		for i := range n {
+			uv[2*i], uv[2*i+1], s[i] = r.polar()
+		}
+		i := 0
+		if useAVX2 && n >= 4 {
+			i = n &^ 3
+			polar4(i, &uv[0], &s[0])
+		}
+		for ; i < n; i++ {
+			f := math.Sqrt(-2 * math.Log(s[i]) / s[i])
+			uv[2*i] *= f
+			uv[2*i+1] *= f
+		}
+	}
+	if len(dst)%2 == 1 {
+		dst[len(dst)-1] = r.NormFloat64()
+	}
 }
 
 // Perm returns a pseudo-random permutation of [0, n) (Fisher-Yates).
@@ -92,9 +134,7 @@ func (r *RNG) Perm(n int) []int {
 // Randn returns a tensor with standard-normal elements.
 func Randn(r *RNG, shape ...int) *Tensor {
 	t := New(shape...)
-	for i := range t.data {
-		t.data[i] = r.NormFloat64()
-	}
+	r.FillNorm(t.data)
 	return t
 }
 
@@ -105,7 +145,7 @@ func GlorotUniform(r *RNG, fanIn, fanOut int) *Tensor {
 	limit := math.Sqrt(6.0 / float64(fanIn+fanOut))
 	t := New(fanIn, fanOut)
 	for i := range t.data {
-		t.data[i] = r.Range(-limit, limit)
+		t.data[i] = -limit + 2*limit*r.Float64()
 	}
 	return t
 }

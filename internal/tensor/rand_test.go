@@ -131,3 +131,24 @@ func TestGlorotUniformBounds(t *testing.T) {
 		t.Fatalf("Glorot shape = %v", w.Shape())
 	}
 }
+
+// BenchmarkNorm784 draws one MNIST-like sample's noise, 784 standard
+// normals, one NormFloat64 call at a time and with one FillNorm; ns/op
+// over 784 is the cost of one normal.
+func BenchmarkNorm784(b *testing.B) {
+	buf := make([]float64, 784)
+	b.Run("NormFloat64", func(b *testing.B) {
+		r := NewRNG(1)
+		for b.Loop() {
+			for i := range buf {
+				buf[i] = r.NormFloat64()
+			}
+		}
+	})
+	b.Run("FillNorm", func(b *testing.B) {
+		r := NewRNG(1)
+		for b.Loop() {
+			r.FillNorm(buf)
+		}
+	})
+}
