@@ -230,6 +230,25 @@ func fixtures() []fixture {
 			runs: 1,
 		},
 		{
+			// The prune-only ASHA rule: never promotes, counts only strictly
+			// better incumbents. Distinct from the promoting "asha" fixture.
+			name: "pruner-asha",
+			generate: func(t *testing.T, dir string) {
+				space := mustSpace(t, gridSpaceJSON)
+				pr, err := hpo.NewPruner("asha", 0, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				runFixtureStudy(t, dir, 1, false, hpo.StudyOptions{
+					Sampler: hpo.NewGridSearch(space), Pruner: pr, Objective: fixtureObjective(fixMaxR, nil),
+				})
+			},
+			params: func(t *testing.T) replay.Params {
+				return replay.Params{Pruner: "asha"}
+			},
+			runs: 1,
+		},
+		{
 			name: "tenant-async-rung",
 			generate: func(t *testing.T, dir string) {
 				// The async-rung run, but the study is created tenant-tagged
