@@ -162,7 +162,7 @@ func run(o options) error {
 	// combine exactly as the same fields of an hpod study spec do.
 	spec := server.StudySpec{Algo: o.algo, Space: raw, Budget: o.budget, Seed: o.seed,
 		CVFolds: o.cvFolds, Pruner: o.pruner, Scheduler: o.scheduler, RungMode: o.rungMode}
-	sampler, scheduler, pruner, err := spec.BuildDecisions("", "", "")
+	sampler, scheduler, err := spec.BuildDecisions("", "", "")
 	if err != nil {
 		return err
 	}
@@ -224,7 +224,6 @@ func run(o options) error {
 		Constraint:     constraint,
 		TargetAccuracy: o.target,
 		Seed:           o.seed,
-		Pruner:         pruner,
 		Scheduler:      scheduler,
 		Visualise:      o.visualise && o.workers == 0,
 	}

@@ -40,7 +40,6 @@ type replayOptions struct {
 	prunerEta    int
 	prunerWarmup int
 	target       float64
-	baseBudget   int
 	quiet        bool
 }
 
@@ -60,7 +59,6 @@ func replayMain(args []string) error {
 	fs.IntVar(&o.prunerEta, "pruner-eta", 0, "pruner halving factor of the original run")
 	fs.IntVar(&o.prunerWarmup, "pruner-warmup", 0, "pruner warmup of the original run")
 	fs.Float64Var(&o.target, "target", 0, "target accuracy of the original run (0 = off)")
-	fs.IntVar(&o.baseBudget, "base-budget", 0, "initial num_epochs to assume for trials whose config never reached the journal (asha replay)")
 	fs.BoolVar(&o.quiet, "quiet", false, "print only the verdict")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -135,7 +133,6 @@ func replayParams(o replayOptions, fs *flag.FlagSet, meta store.StudyMeta) (repl
 		PrunerEta:    o.prunerEta,
 		PrunerWarmup: o.prunerWarmup,
 		Target:       o.target,
-		BaseBudget:   o.baseBudget,
 	}
 	if o.spaceFile != "" {
 		raw, err := os.ReadFile(o.spaceFile)

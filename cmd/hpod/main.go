@@ -99,9 +99,9 @@ func main() {
 		"max studies waiting for an execution slot before starts are rejected 503 (0 = unbounded)")
 	flag.DurationVar(&o.retryAfter, "retry-after", time.Second,
 		"Retry-After hint attached to 429/503 admission rejections")
-	flag.StringVar(&o.pruner, "pruner", "", "default trial pruner for specs that set none: none | median | asha")
+	flag.StringVar(&o.pruner, "pruner", "", "default trial pruner for specs that set none, fixed at create: none | median | asha")
 	flag.StringVar(&o.scheduler, "scheduler", "",
-		"default rung-driven scheduler for specs that set none: none | hyperband | asha (supersedes -pruner when active; algo hyperband specs always run hyperband, so that value changes nothing)")
+		"default rung-driven scheduler for specs that set none, fixed at create: none | hyperband | asha (supersedes -pruner when active; algo hyperband specs always run hyperband, so that value changes nothing)")
 	flag.StringVar(&o.rungMode, "rung-mode", "",
 		"default rung mode for specs that set none: sync (barrier rungs; default) | async (non-barrier, runs on any capacity) — use async when the backend is smaller than a Hyperband bracket, or algo hyperband studies fail fast")
 	flag.IntVar(&o.retainEvents, "retain-events", 0,

@@ -49,3 +49,7 @@ func (e *QuotaError) Error() string {
 }
 
 func (e *QuotaError) Unwrap() error { return ErrQuotaExceeded }
+
+// ErrCapacity: the study's decision engine needs more task slots than the
+// runtime has, so Run fails fast instead of hanging.
+var ErrCapacity = errors.New("hpo: not enough task slots")

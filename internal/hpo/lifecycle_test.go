@@ -65,7 +65,7 @@ func TestTrialStateMachine(t *testing.T) {
 }
 
 func TestStudyRejectsStreamingOnSimBackend(t *testing.T) {
-	// Sim cannot stream epoch reports; OnEpoch and Pruner must fail loudly
+	// Sim cannot stream epoch reports; OnEpoch and a pruner must fail loudly
 	// instead of silently no-opping (the old remote-backend behaviour).
 	simRT, err := runtime.New(runtime.Options{
 		Cluster: cluster.Local(4), Backend: runtime.Sim,
@@ -83,10 +83,10 @@ func TestStudyRejectsStreamingOnSimBackend(t *testing.T) {
 	}
 	_, err = NewStudy(StudyOptions{
 		Sampler: NewGridSearch(tinySpace(t)), Objective: obj, Runtime: simRT,
-		Pruner: NewMedianStop(0, 0),
+		Scheduler: NewMedianStop(0, 0),
 	})
 	if err == nil {
-		t.Fatal("Pruner accepted on a non-streaming backend")
+		t.Fatal("pruner accepted on a non-streaming backend")
 	}
 }
 
@@ -139,7 +139,7 @@ func TestStudyMedianPruningSavesEpochsLocally(t *testing.T) {
 		Sampler:   NewGridSearch(accSpace(t)),
 		Objective: pacedObjective(epochs, &executed),
 		Runtime:   rt,
-		Pruner:    NewMedianStop(2, 2),
+		Scheduler: NewMedianStop(2, 2),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -243,7 +243,7 @@ func TestRemotePruningStreamsEpochsAndSavesWork(t *testing.T) {
 		Sampler:   NewGridSearch(accSpace(t)),
 		Objective: obj,
 		Runtime:   rt,
-		Pruner:    NewMedianStop(2, 2),
+		Scheduler: NewMedianStop(2, 2),
 		Recorder:  journal.Recorder("e2e", "remote-e2e"),
 	})
 	if err != nil {

@@ -14,7 +14,7 @@ var (
 	obsSchedPromotions = obs.Default().CounterVec("hpo_sched_promotions_total",
 		"Rung promotions granted, by scheduler.", "scheduler")
 	obsSchedHalts = obs.Default().CounterVec("hpo_sched_halts_total",
-		"Trials halted at a rung boundary, by scheduler.", "scheduler")
+		"Trials halted by the study's decision engine (rung scheduler or pruner), by engine.", "scheduler")
 	obsWaitingRoom = obs.Default().Gauge("hpo_sched_waiting_room_depth",
 		"Members queued in async rung schedulers awaiting admission.")
 	obsBaselineEpochs = obs.Default().Counter("hpo_sched_baseline_epochs_total",

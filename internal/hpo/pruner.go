@@ -6,29 +6,14 @@ import (
 	"sync"
 )
 
-// Pruner decides, from the intermediate metrics streamed by running trials,
-// whether a trial should be stopped early — the generalisation of the
-// paper's "the process can be stopped as soon as one task achieves a
-// specified accuracy" (§6.1) from a study-global flag into a per-trial
-// decision. Implementations must be safe for concurrent use: reports arrive
-// from task goroutines (local backend) and transport read loops (remote
-// backend) at once. Higher values are better (validation accuracy).
-type Pruner interface {
-	// Name identifies the rule ("median", "asha", ...).
-	Name() string
-	// Observe records trial's metric at epoch and reports whether the
-	// trial should be pruned now.
-	Observe(trialID, epoch int, value float64) bool
-	// Complete marks a trial terminal (reported, pruned, failed or
-	// canceled) so the pruner can settle its bookkeeping; its observed
-	// curve keeps anchoring future decisions.
-	Complete(trialID int)
-}
-
-// NewPruner builds a pruner by name. "" and "none" mean no pruning (nil
-// pruner, nil error); eta and warmup are interpreted per rule and may be 0
-// for defaults.
-func NewPruner(name string, eta, warmup int) (Pruner, error) {
+// NewPruner builds a pruner by name: a TrialScheduler that never promotes.
+// It halts losing trials from the intermediate metrics they stream — the
+// generalisation of the paper's "the process can be stopped as soon as one
+// task achieves a specified accuracy" (§6.1) from a study-global flag into
+// a per-trial decision. "" and "none" mean no pruning (nil scheduler, nil
+// error); eta and warmup are interpreted per rule and may be 0 for
+// defaults. Higher values are better (validation accuracy).
+func NewPruner(name string, eta, warmup int) (TrialScheduler, error) {
 	switch name {
 	case "", "none":
 		return nil, nil
@@ -39,6 +24,21 @@ func NewPruner(name string, eta, warmup int) (Pruner, error) {
 	default:
 		return nil, fmt.Errorf("hpo: unknown pruner %q (want none, median or asha)", name)
 	}
+}
+
+// neverPromotes is a pruner's no-op half of TrialScheduler: no promotion
+// ceiling (so no "_hb_max" stamp and unchanged memo fingerprints), no
+// budget to admit, and nothing to settle on exit (a finished curve keeps
+// anchoring later decisions).
+type neverPromotes struct{}
+
+func (neverPromotes) MaxBudget() int                                         { return 0 }
+func (neverPromotes) Admit(trialID, budget int, cfg Config)                  {}
+func (neverPromotes) Complete(trialID int, res *TrialResult) []SchedDecision { return nil }
+
+// pruneAt is a pruner's one verdict: halt the trial at epoch.
+func pruneAt(name string, trialID, epoch int, value float64) []SchedDecision {
+	return []SchedDecision{{TrialID: trialID, Epoch: epoch, Reason: ReasonPrunerLosing(name, epoch, value)}}
 }
 
 // MedianStop implements the median stopping rule (Golovin et al., Google
@@ -53,6 +53,7 @@ type MedianStop struct {
 	// before the median engages (default 2).
 	MinTrials int
 
+	neverPromotes
 	mu     sync.Mutex
 	curves map[int][]float64 // trialID → value per epoch index (NaN-free, grown as reported)
 	seen   map[int][]bool    // trialID → epoch reported?
@@ -73,13 +74,13 @@ func NewMedianStop(warmup, minTrials int) *MedianStop {
 	}
 }
 
-// Name implements Pruner.
+// Name implements TrialScheduler.
 func (m *MedianStop) Name() string { return "median" }
 
-// Observe implements Pruner.
-func (m *MedianStop) Observe(trialID, epoch int, value float64) bool {
+// Observe implements TrialScheduler.
+func (m *MedianStop) Observe(trialID, epoch int, value float64) []SchedDecision {
 	if epoch < 0 {
-		return false
+		return nil
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -92,7 +93,7 @@ func (m *MedianStop) Observe(trialID, epoch int, value float64) bool {
 	m.curves[trialID], m.seen[trialID] = c, s
 
 	if epoch < m.Warmup {
-		return false
+		return nil
 	}
 	var others []float64
 	//lint:ignore replaydet guarded collect of peer curve values; DecideMedianStop reduces them via the median, which is order-insensitive
@@ -102,11 +103,11 @@ func (m *MedianStop) Observe(trialID, epoch int, value float64) bool {
 		}
 		others = append(others, oc[epoch])
 	}
-	return DecideMedianStop(value, others, m.MinTrials)
+	if !DecideMedianStop(value, others, m.MinTrials) {
+		return nil
+	}
+	return pruneAt(m.Name(), trialID, epoch, value)
 }
-
-// Complete implements Pruner: finished curves stay as median anchors.
-func (m *MedianStop) Complete(trialID int) {}
 
 // median returns the middle value (mean of the two middles for even n).
 func median(vals []float64) float64 {
@@ -131,6 +132,7 @@ type ASHA struct {
 	// MinResource is the first rung's epoch count (default 1).
 	MinResource int
 
+	neverPromotes
 	mu    sync.Mutex
 	rungs map[int]map[int]float64 // rung index → trialID → value
 }
@@ -146,7 +148,7 @@ func NewASHA(eta, minResource int) *ASHA {
 	return &ASHA{Eta: eta, MinResource: minResource, rungs: make(map[int]map[int]float64)}
 }
 
-// Name implements Pruner.
+// Name implements TrialScheduler.
 func (a *ASHA) Name() string { return "asha" }
 
 // rungIndex returns k when resource == MinResource·Eta^k, else -1.
@@ -165,12 +167,14 @@ func (a *ASHA) rungIndex(resource int) int {
 	return -1
 }
 
-// Observe implements Pruner. epoch is 0-based; the resource consumed after
-// it is epoch+1 training epochs.
-func (a *ASHA) Observe(trialID, epoch int, value float64) bool {
+// Observe implements TrialScheduler. epoch is 0-based; the resource
+// consumed after it is epoch+1 training epochs. Only strictly better
+// incumbents outrank the arrival — not DecideRungArrival's rule, under
+// which an equal incumbent ranks ahead.
+func (a *ASHA) Observe(trialID, epoch int, value float64) []SchedDecision {
 	k := a.rungIndex(epoch + 1)
 	if k < 0 {
-		return false
+		return nil
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -195,8 +199,8 @@ func (a *ASHA) Observe(trialID, epoch int, value float64) bool {
 			rank++
 		}
 	}
-	return rank > keep
+	if rank <= keep {
+		return nil
+	}
+	return pruneAt(a.Name(), trialID, epoch, value)
 }
-
-// Complete implements Pruner: rung entries persist as ranking anchors.
-func (a *ASHA) Complete(trialID int) {}

@@ -23,26 +23,62 @@ func TestNewPrunerByName(t *testing.T) {
 	}
 }
 
+// halts reports whether a pruner's Observe returned its halt verdict.
+func halts(ds []SchedDecision) bool { return len(ds) > 0 }
+
+// TestPrunerVerdictIsAHalt: a pruner is a TrialScheduler that never
+// promotes — no promotion ceiling, and its one verdict is a budget-0 halt
+// at the reporting epoch carrying the journaled pruner reason.
+func TestPrunerVerdictIsAHalt(t *testing.T) {
+	for _, name := range []string{"median", "asha"} {
+		p, err := NewPruner(name, 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.MaxBudget() != 0 {
+			t.Fatalf("%s: MaxBudget = %d, want 0", name, p.MaxBudget())
+		}
+		vals := []float64{0.9, 0.8, 0.7, 0.1}
+		var got []SchedDecision
+		for id, v := range vals {
+			p.Admit(id, 3, nil)
+			for e := 0; e < 2 && len(got) == 0; e++ {
+				got = p.Observe(id, e, v*float64(e+1))
+			}
+		}
+		if len(got) != 1 {
+			t.Fatalf("%s: decisions = %v, want one halt", name, got)
+		}
+		d := got[0]
+		if d.Budget != 0 || d.Reason != ReasonPrunerLosing(name, d.Epoch, vals[d.TrialID]*float64(d.Epoch+1)) {
+			t.Fatalf("%s: decision = %+v, want a budget-0 halt with the pruner reason", name, d)
+		}
+		if p.Complete(d.TrialID, nil) != nil {
+			t.Fatalf("%s: Complete returned decisions", name)
+		}
+	}
+}
+
 func TestMedianStopPrunesBelowMedian(t *testing.T) {
 	m := NewMedianStop(1, 2)
 	// Epoch 0 is warmup: nobody is pruned regardless of values.
 	for id, v := range []float64{0.9, 0.8, 0.1} {
-		if m.Observe(id, 0, v) {
+		if halts(m.Observe(id, 0, v)) {
 			t.Fatalf("trial %d pruned during warmup", id)
 		}
 	}
 	// Epoch 1: the two good trials report first, then the laggard.
-	if m.Observe(0, 1, 0.92) {
+	if halts(m.Observe(0, 1, 0.92)) {
 		t.Fatal("trial 0 pruned with no peers at epoch 1")
 	}
-	if m.Observe(1, 1, 0.85) {
+	if halts(m.Observe(1, 1, 0.85)) {
 		t.Fatal("trial 1 pruned with one peer (< MinTrials)")
 	}
-	if !m.Observe(2, 1, 0.12) {
+	if !halts(m.Observe(2, 1, 0.12)) {
 		t.Fatal("losing trial 2 not pruned below the median")
 	}
 	// A trial at the median survives (strictly-below rule).
-	if m.Observe(3, 1, 0.885) {
+	if halts(m.Observe(3, 1, 0.885)) {
 		t.Fatal("median-straddling trial pruned")
 	}
 }
@@ -59,27 +95,27 @@ func TestMedianStopMedianHelper(t *testing.T) {
 func TestASHARungRanking(t *testing.T) {
 	a := NewASHA(2, 1) // rungs at 1, 2, 4, 8... epochs
 	// First arrival at rung 0 always survives (keep >= 1).
-	if a.Observe(0, 0, 0.1) {
+	if halts(a.Observe(0, 0, 0.1)) {
 		t.Fatal("first arrival pruned")
 	}
 	// A better later arrival survives; the earlier one is now bottom, but
 	// decisions are made per arrival — only the arriving trial is judged.
-	if a.Observe(1, 0, 0.5) {
+	if halts(a.Observe(1, 0, 0.5)) {
 		t.Fatal("rank-1 arrival pruned")
 	}
 	// n=3, keep=1: arriving mid-pack ranks 2 → pruned.
-	if !a.Observe(2, 0, 0.3) {
+	if !halts(a.Observe(2, 0, 0.3)) {
 		t.Fatal("rank-2 arrival not pruned at rung 0")
 	}
 	// Non-rung epochs never prune (resource 3 is not a power-of-2 rung).
-	if a.Observe(1, 2, 0.01) {
+	if halts(a.Observe(1, 2, 0.01)) {
 		t.Fatal("non-rung epoch pruned")
 	}
 	// Rung 1 (resource 2): fresh ranking.
-	if a.Observe(1, 1, 0.6) {
+	if halts(a.Observe(1, 1, 0.6)) {
 		t.Fatal("first arrival at rung 1 pruned")
 	}
-	if !a.Observe(0, 1, 0.2) {
+	if !halts(a.Observe(0, 1, 0.2)) {
 		t.Fatal("bottom arrival at rung 1 (n=2, keep=1) not pruned")
 	}
 }

@@ -19,15 +19,16 @@ type SchedDecision struct {
 	Reason  string
 }
 
-// TrialScheduler drives rung-based successive halving over the live trial
-// report stream: instead of re-submitting configs with larger budgets per
-// bracket, trials are submitted once with a small initial budget, observed
-// epoch by epoch, halted at rung boundaries when they lose, and promoted —
-// continued past their initial budget on the same worker — when they win.
-// Implementations must be safe for concurrent use: reports arrive from task
-// goroutines and transport read loops at once.
+// TrialScheduler is a study's one decision engine over the live trial
+// report stream: trials are submitted once with an initial budget,
+// observed epoch by epoch, halted when they lose, and promoted — continued
+// past their initial budget on the same worker — when they win. A pruner
+// (NewPruner) is a TrialScheduler that never promotes. Implementations
+// must be safe for concurrent use: reports arrive from task goroutines and
+// transport read loops at once.
 type TrialScheduler interface {
-	// Name identifies the scheduler ("hyperband-rung", "asha-promote").
+	// Name identifies the engine ("hyperband-rung", "asha-promote",
+	// "median", "asha") in journaled reasons and metric labels.
 	Name() string
 	// MaxBudget is the epoch ceiling any trial may be promoted to; the
 	// study stamps it into submitted configs (hidden "_hb_max" key) so the
@@ -707,7 +708,7 @@ func (m *rungMember) rankValue() float64 {
 // ---------------------------------------------------------------------------
 
 // ASHAScheduler is the Asynchronous Successive Halving rule upgraded from
-// prune-only (the ASHA Pruner) to promote-capable: trials start at their
+// prune-only (the asha pruner) to promote-capable: trials start at their
 // configured num_epochs budget; when one reaches its budget boundary it is
 // ranked against every value recorded at that rung so far — the top 1/Eta
 // continue to an eta× budget (capped at MaxB) on the same worker, the rest

@@ -26,7 +26,7 @@ type TrialResult struct {
 	// Canceled marks trials dropped by study-level early stopping or an
 	// operator cancellation.
 	Canceled bool
-	// Pruned marks trials stopped mid-training by the study's pruner; their
+	// Pruned marks trials halted mid-training by the study's scheduler; their
 	// metrics cover only the epochs run before losing. Pruned trials never
 	// count as successes.
 	Pruned      bool
@@ -64,7 +64,7 @@ type StudyResult struct {
 	// Memoized counts trials answered from another study's persisted
 	// results via the store's fingerprint index (Hippo-style reuse).
 	Memoized int
-	// Pruned counts trials stopped mid-training by the pruner.
+	// Pruned counts trials halted mid-training by the scheduler.
 	Pruned int
 }
 
@@ -108,19 +108,17 @@ type StudyOptions struct {
 	// transport; NewStudy rejects the combination with a backend that
 	// cannot (Sim) instead of silently dropping epochs.
 	OnEpoch func(trial, epoch int, acc float64)
-	// Pruner, when non-nil, consumes the same intermediate epoch stream
-	// and cancels losing trials mid-training (MedianStop, ASHA). Requires
-	// a streaming backend, like OnEpoch.
-	Pruner Pruner
-	// Scheduler, when non-nil, drives rung-based successive halving over
-	// the live report stream: trials are admitted once with their config's
-	// num_epochs as the initial budget, losers are halted at rung
-	// boundaries through the prune path, and survivors are promoted past
-	// their initial budget via runtime task extension — TCP workers keep
-	// training the same config instead of restarting it. Requires a
-	// streaming backend; mutually exclusive with Pruner (the scheduler
-	// already halts losers).
+	// Scheduler, when non-nil, is the study's decision engine over the
+	// live report stream: trials are admitted once with their config's
+	// num_epochs as the initial budget, losers are halted through the
+	// prune path, and survivors are promoted past their initial budget via
+	// runtime task extension — TCP workers keep training the same config
+	// instead of restarting it. A pruner (NewPruner) is a scheduler that
+	// never promotes. Requires a streaming backend, like OnEpoch.
 	Scheduler TrialScheduler
+	// Pruner is another name for Scheduler, for callers that set a pruner
+	// by field; NewStudy moves it into Scheduler. Set at most one.
+	Pruner TrialScheduler
 	// Visualise, when true, rebuilds the paper's Figure-3 application
 	// shape for real: each experiment feeds a visualisation task and a
 	// final plot task aggregates them; the plot output lands in
@@ -142,14 +140,14 @@ type StudyOptions struct {
 // running → reported/pruned/failed/canceled; intermediate epoch metrics
 // stream from the executing backend (local or remote) into the study's
 // report handler, which feeds OnEpoch observers, the journal's metric
-// events, target-accuracy early stopping and the pruner.
+// events, target-accuracy early stopping and the scheduler.
 type Study struct {
 	opts StudyOptions
 	// telemetry is the recorder's optional metric/prune sink.
 	telemetry store.MetricRecorder
 
 	// decisionMu serializes the journal's record appends with the
-	// scheduler/pruner observations that produce them: a metric record, the
+	// scheduler observations that produce them: a metric record, the
 	// Observe it feeds and the prune/promote records that Observe emits form
 	// one atomic section, so the journal's record order is exactly the order
 	// the decisions were taken in. internal/replay's determinism contract
@@ -183,11 +181,13 @@ func NewStudy(opts StudyOptions) (*Study, error) {
 	if opts.Runtime == nil {
 		return nil, errors.New("hpo: study needs a Runtime")
 	}
-	if (opts.OnEpoch != nil || opts.Pruner != nil || opts.Scheduler != nil) && !opts.Runtime.CanStreamReports() {
-		return nil, errors.New("hpo: OnEpoch/Pruner/Scheduler need a backend that streams epoch reports (Real or Remote, not Sim)")
+	if opts.Scheduler == nil {
+		opts.Scheduler, opts.Pruner = opts.Pruner, nil
+	} else if opts.Pruner != nil {
+		return nil, errors.New("hpo: Scheduler and Pruner are mutually exclusive (a study has one decision engine)")
 	}
-	if opts.Scheduler != nil && opts.Pruner != nil {
-		return nil, errors.New("hpo: Scheduler and Pruner are mutually exclusive (the scheduler already halts rung losers)")
+	if (opts.OnEpoch != nil || opts.Scheduler != nil) && !opts.Runtime.CanStreamReports() {
+		return nil, errors.New("hpo: OnEpoch/Scheduler need a backend that streams epoch reports (Real or Remote, not Sim)")
 	}
 	s := &Study{opts: opts,
 		byTask: make(map[int]*Trial), byID: make(map[int]*Trial),
@@ -238,8 +238,8 @@ func (s *Study) Run() (*StudyResult, error) {
 			// No healthy node can host even one trial (zero workers
 			// attached, every node down, or a constraint larger than any
 			// node): error out instead of queueing work that can never run.
-			return nil, fmt.Errorf("hpo: %s needs at least one task slot, but the runtime has no healthy capacity for %d-core tasks",
-				sched.Name(), s.opts.Constraint.Normalise().Cores)
+			return nil, fmt.Errorf("%w: %s needs at least one task slot, but the runtime has no healthy capacity for %d-core tasks",
+				ErrCapacity, sched.Name(), s.opts.Constraint.Normalise().Cores)
 		}
 		if ar, ok := sched.(interface{ AsyncRungs() bool }); ok {
 			asyncRungs = ar.AsyncRungs()
@@ -251,8 +251,8 @@ func (s *Study) Run() (*StudyResult, error) {
 			// fail fast instead of hanging. Async rungs decide per-arrival
 			// and run on any capacity.
 			if ms, ok := sched.(interface{ MinSlots() int }); ok && slots < ms.MinSlots() {
-				return nil, fmt.Errorf("hpo: %s needs %d concurrent task slots for its largest bracket; the runtime provides %d (use async rung mode for smaller clusters)",
-					sched.Name(), ms.MinSlots(), slots)
+				return nil, fmt.Errorf("%w: %s needs %d concurrent task slots for its largest bracket; the runtime provides %d (use async rung mode for smaller clusters)",
+					ErrCapacity, sched.Name(), ms.MinSlots(), slots)
 			}
 		} else if cs, ok := sched.(interface{ SetCapacity(int) }); ok {
 			// Capacity feedback: the async waiting room admits members only
@@ -525,8 +525,8 @@ func (s *Study) admitConfigs(configs []Config, checkpoint map[string]TrialResult
 
 // settleTrial renders one resolved task value into the trial's terminal
 // result — synthesising one when the task failed or was canceled before
-// producing any — finalizes the handle and informs the pruner and
-// scheduler of the exit.
+// producing any — finalizes the handle and informs the scheduler of the
+// exit.
 func (s *Study) settleTrial(trial *Trial, v interface{}) TrialResult {
 	var res TrialResult
 	if tr, ok := v.(TrialResult); ok {
@@ -555,9 +555,6 @@ func (s *Study) settleTrial(trial *Trial, v interface{}) TrialResult {
 	}
 	s.mu.Unlock()
 	trial.finalize(&res)
-	if s.opts.Pruner != nil {
-		s.opts.Pruner.Complete(trial.ID)
-	}
 	s.mu.Lock()
 	delete(s.byTask, trial.TaskID())
 	s.mu.Unlock()
@@ -620,7 +617,7 @@ func (s *Study) adoptFinished(res TrialResult) {
 	s.mu.Unlock()
 }
 
-// applyDecisions carries a scheduler's rung verdicts into the runtime:
+// applyDecisions carries a scheduler's verdicts into the runtime:
 // halts ride the existing prune path (cooperative per-task cancellation),
 // promotions extend the running task's budget gate so the worker keeps
 // training the same model. Both are journaled when the recorder supports
@@ -663,10 +660,10 @@ func (s *Study) applyDecisions(decisions []SchedDecision) {
 // running trial's per-epoch accuracy lands here, whether the task executes
 // in-process or streams over a worker transport. It feeds (in order) the
 // trial's report history, the OnEpoch observer, the journal's metric
-// events, target-accuracy early stopping and the pruner.
+// events, target-accuracy early stopping and the scheduler.
 func (s *Study) onTaskReport(taskID, epoch int, value float64) {
 	if math.IsNaN(value) || math.IsInf(value, 0) {
-		return // a diverged epoch carries no signal for observers or pruners
+		return // a diverged epoch carries no signal for observers or schedulers
 	}
 	s.mu.Lock()
 	trial := s.byTask[taskID]
@@ -709,15 +706,6 @@ func (s *Study) onTaskReport(taskID, epoch int, value float64) {
 			s.opts.Runtime.ExtendTask(taskID, g)
 		}
 		s.applyDecisions(sched.Observe(trial.ID, epoch, value))
-	}
-	if s.opts.Pruner != nil && s.opts.Pruner.Observe(trial.ID, epoch, value) {
-		reason := ReasonPrunerLosing(s.opts.Pruner.Name(), epoch, value)
-		if trial.requestPrune(reason) {
-			if s.telemetry != nil {
-				_ = s.telemetry.RecordPrune(trial.ID, epoch, reason)
-			}
-			s.opts.Runtime.CancelTask(taskID)
-		}
 	}
 }
 

@@ -48,8 +48,9 @@ const (
 // config gets a distinct "acc" driving a strict deterministic ordering.
 const rungSpaceJSON = `{"acc": {"type": "float", "min": 0.1, "max": 0.9}}`
 
-// gridSpaceJSON is the fixed-budget space the asha and median-stop
-// fixtures enumerate with grid search (declaration order preserved).
+// gridSpaceJSON is the fixed-budget space the asha, median-stop and
+// pruner-asha fixtures enumerate with grid search (declaration order
+// preserved).
 const gridSpaceJSON = `{"acc": [0.82, 0.64, 0.23, 0.77, 0.15], "num_epochs": [3]}`
 
 func mustSpace(t *testing.T, js string) *hpo.Space {
@@ -221,7 +222,7 @@ func fixtures() []fixture {
 					t.Fatal(err)
 				}
 				runFixtureStudy(t, dir, 1, false, hpo.StudyOptions{
-					Sampler: hpo.NewGridSearch(space), Pruner: pr, Objective: fixtureObjective(fixMaxR, nil),
+					Sampler: hpo.NewGridSearch(space), Scheduler: pr, Objective: fixtureObjective(fixMaxR, nil),
 				})
 			},
 			params: func(t *testing.T) replay.Params {
@@ -240,7 +241,7 @@ func fixtures() []fixture {
 					t.Fatal(err)
 				}
 				runFixtureStudy(t, dir, 1, false, hpo.StudyOptions{
-					Sampler: hpo.NewGridSearch(space), Pruner: pr, Objective: fixtureObjective(fixMaxR, nil),
+					Sampler: hpo.NewGridSearch(space), Scheduler: pr, Objective: fixtureObjective(fixMaxR, nil),
 				})
 			},
 			params: func(t *testing.T) replay.Params {

@@ -16,18 +16,20 @@ import (
 	"repro/internal/store"
 )
 
-// fuzzParams are the three decision engines the fuzzer drives, selected by
+// fuzzParams are the four decision engines the fuzzer drives, selected by
 // the input's first byte. Small budgets keep member regeneration cheap.
 func fuzzParams(t *testing.T, selector byte) replay.Params {
 	t.Helper()
-	switch selector % 3 {
+	switch selector % 4 {
 	case 0:
 		return replay.Params{Scheduler: "hyperband", RungMode: hpo.RungAsync,
 			Space: mustSpace(t, rungSpaceJSON), Budget: 3, Eta: 3, Seed: 7}
 	case 1:
-		return replay.Params{Scheduler: "asha", Budget: 9, Eta: 3, MinResource: 1, BaseBudget: 3}
-	default:
+		return replay.Params{Scheduler: "asha", Budget: 9, Eta: 3, MinResource: 1}
+	case 2:
 		return replay.Params{Pruner: "median"}
+	default:
+		return replay.Params{Pruner: "asha"}
 	}
 }
 

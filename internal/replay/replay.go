@@ -6,11 +6,11 @@
 // The engine reads the stream store.Journal.StudyRecords (or
 // store.SnapshotStudyRecords) returns and re-drives the *live* scheduler
 // implementations — RungHyperband sync+async, ASHAScheduler and the
-// Pruners — in a simulated runtime: no training,
-// no clock, no goroutine nondeterminism. Metric records become Observe
-// calls, trial records become Complete calls, and the decisions the
-// schedulers emit are byte-compared (trial, epoch, budget, reason string)
-// against the recorded prune/promote records. The rank pools, keep rules
+// pruners, which are schedulers that never promote — in a simulated
+// runtime: no training, no clock, no goroutine nondeterminism. Metric
+// records become Observe calls, trial records become Complete calls, and
+// the decisions the schedulers emit are byte-compared (trial, epoch,
+// budget, reason string) against the recorded prune/promote records. The rank pools, keep rules
 // and reason strings all come from internal/hpo's pure decision core
 // (decide.go) — shared code, not a reimplementation that could drift.
 package replay
@@ -54,10 +54,6 @@ type Params struct {
 	// reaches it bypassed the scheduler in the live run, so replay must
 	// bypass it too.
 	Target float64
-	// BaseBudget, when > 0, is the initial num_epochs to assume for trials
-	// whose config never reached the journal (canceled before their final
-	// record). Only consulted by the ASHA scheduler replay.
-	BaseBudget int
 }
 
 // Decision is one canonical decision-log entry: a halt (prune) or a
@@ -227,6 +223,9 @@ type engine struct {
 	// streaming state (reset per run where noted)
 	halted    map[int]bool // trial id → a halt was emitted (requestPrune fired)
 	completed map[int]bool // trial id → final record consumed
+
+	// ceiling is the built scheduler's promotion ceiling (0: none).
+	ceiling int
 }
 
 func (e *engine) warnf(format string, args ...interface{}) {
@@ -376,18 +375,20 @@ func (e *engine) dispatch() (string, error) {
 		}
 		return mode, e.replayRungHyperband()
 	case "asha":
-		return "asha-promote", e.replayASHA()
+		return "asha-promote", e.replayArrivals(func() (hpo.TrialScheduler, error) {
+			_, sched, err := hpo.NewTrialScheduler("asha", e.p.Space,
+				e.p.Budget, e.p.Eta, e.p.MinResource, e.p.Seed, e.p.RungMode)
+			return sched, err
+		})
 	default:
 		return "", e.corrupt(0, "unknown scheduler %q", e.p.Scheduler)
 	}
-	switch e.p.Pruner {
-	case "", "none":
-	case "median", "asha":
-		return "pruner/" + e.p.Pruner, e.replayPruner()
-	default:
-		return "", e.corrupt(0, "unknown pruner %q", e.p.Pruner)
+	if e.p.Pruner == "" || e.p.Pruner == "none" {
+		return "none", nil
 	}
-	return "none", nil
+	return "pruner/" + e.p.Pruner, e.replayArrivals(func() (hpo.TrialScheduler, error) {
+		return hpo.NewPruner(e.p.Pruner, e.p.PrunerEta, e.p.PrunerWarmup)
+	})
 }
 
 // emit appends engine decisions to the replayed log, mirroring the live
@@ -477,6 +478,7 @@ func (e *engine) replayRungHyperband() error {
 		if err != nil {
 			return e.corrupt(0, "building scheduler: %v", err)
 		}
+		e.ceiling = sched.MaxBudget()
 		// The sync barrier only evaluates brackets the sampler has handed
 		// out (the live admission loop drives Ask round by round). Brackets
 		// run sequentially, so asking at each admission hands each bracket
@@ -545,34 +547,36 @@ func (e *engine) replayRungHyperband() error {
 	return nil
 }
 
-// replayASHA re-drives the sampler-agnostic ASHA promotion scheduler.
-// Initial budgets come from each trial's recorded config (its final
-// record); pools are fed in record order. ASHA resumes carry no pool state
-// across runs (Complete never anchors), so each run simply starts fresh.
-func (e *engine) replayASHA() error {
+// replayArrivals re-drives a per-arrival engine — the sampler-agnostic
+// ASHA promotion scheduler or a pruner — in record order. Each trial is
+// admitted on its first record through the engine's own Admit, with the
+// num_epochs of its final record, exactly as the live study admitted it.
+// Neither engine carries state across a restart (Complete never anchors,
+// and pruner curves are rebuilt from live reports), so each run starts a
+// fresh one.
+func (e *engine) replayArrivals(build func() (hpo.TrialScheduler, error)) error {
 	for r := range e.runStarts {
-		_, sched, err := hpo.NewTrialScheduler("asha", e.p.Space,
-			e.p.Budget, e.p.Eta, e.p.MinResource, e.p.Seed, e.p.RungMode)
+		sched, err := build()
 		if err != nil {
-			return e.corrupt(0, "building scheduler: %v", err)
+			return e.corrupt(0, "building the decision engine: %v", err)
 		}
+		e.ceiling = sched.MaxBudget()
 		admitted := map[int]bool{}
 		admit := func(tid int) bool {
 			if admitted[tid] {
 				return true
 			}
-			base := e.p.BaseBudget
-			var cfg hpo.Config
-			if f := e.finals[tid]; f != nil {
-				cfg = hpo.Config(f.Config)
-				if b := cfg.Int("num_epochs", 0); b > 0 {
-					base = b
-				}
-			}
-			if base <= 0 {
+			f := e.finals[tid]
+			if f == nil && e.ceiling > 0 {
+				// A promoting engine places arrivals by initial budget,
+				// which only the final record carries.
 				return false
 			}
-			sched.Admit(tid, base, cfg)
+			var cfg hpo.Config
+			if f != nil {
+				cfg = hpo.Config(f.Config)
+			}
+			sched.Admit(tid, cfg.Int("num_epochs", 0), cfg)
 			admitted[tid] = true
 			return true
 		}
@@ -585,7 +589,7 @@ func (e *engine) replayASHA() error {
 					continue
 				}
 				if e.p.Target > 0 && mt.Value >= e.p.Target {
-					continue
+					continue // live bypassed the engine on the target hit
 				}
 				e.emit(sched.Observe(mt.TrialID, mt.Epoch, mt.Value))
 			case rec.Trial != nil:
@@ -598,39 +602,6 @@ func (e *engine) replayASHA() error {
 					res := hpo.FromStoreTrial(*e.finals[tid])
 					e.emit(sched.Complete(tid, &res))
 				}
-			}
-		}
-	}
-	return nil
-}
-
-// replayPruner re-drives a Pruner (median stop or prune-only ASHA) over
-// the metric stream. Pruner curves never survive a restart (they are
-// rebuilt from live reports only), so each run starts a fresh instance.
-func (e *engine) replayPruner() error {
-	for r := range e.runStarts {
-		pruner, err := hpo.NewPruner(e.p.Pruner, e.p.PrunerEta, e.p.PrunerWarmup)
-		if err != nil || pruner == nil {
-			return e.corrupt(0, "building pruner %q: %v", e.p.Pruner, err)
-		}
-		for _, rec := range e.runRecords(r) {
-			switch {
-			case rec.Metric != nil:
-				mt := rec.Metric
-				if e.p.Target > 0 && mt.Value >= e.p.Target {
-					continue // target stop fires before the pruner in the live path
-				}
-				losing := pruner.Observe(mt.TrialID, mt.Epoch, mt.Value)
-				if losing && !e.halted[mt.TrialID] && !e.completed[mt.TrialID] {
-					e.halted[mt.TrialID] = true
-					e.rep.Replayed = append(e.rep.Replayed, Decision{
-						Kind: "halt", TrialID: mt.TrialID, Epoch: mt.Epoch,
-						Reason: hpo.ReasonPrunerLosing(pruner.Name(), mt.Epoch, mt.Value),
-					})
-				}
-			case rec.Trial != nil:
-				pruner.Complete(rec.Trial.ID)
-				e.completed[rec.Trial.ID] = true
 			}
 		}
 	}
@@ -686,8 +657,8 @@ func (e *engine) account() error {
 		if d.Budget <= prev {
 			return e.corrupt(d.Seq, "trial %d: double grant (budget %d after %d)", d.TrialID, d.Budget, prev)
 		}
-		if max := e.maxBudget(); max > 0 && d.Budget > max {
-			return e.corrupt(d.Seq, "trial %d: granted budget %d exceeds the study ceiling %d", d.TrialID, d.Budget, max)
+		if e.ceiling > 0 && d.Budget > e.ceiling {
+			return e.corrupt(d.Seq, "trial %d: granted budget %d exceeds the study ceiling %d", d.TrialID, d.Budget, e.ceiling)
 		}
 		grants[d.TrialID] = append(grants[d.TrialID], d.Budget)
 	}
@@ -739,18 +710,6 @@ func (e *engine) account() error {
 		}
 	}
 	return nil
-}
-
-// maxBudget is the study's promotion ceiling under the active scheduler.
-func (e *engine) maxBudget() int {
-	switch e.p.Scheduler {
-	case "hyperband", "asha":
-		if e.p.Budget > 0 {
-			return e.p.Budget
-		}
-		return 27 // the schedulers' shared default
-	}
-	return 0
 }
 
 // configInt reads an integral config value, tolerating the int/float64

@@ -39,8 +39,10 @@ type Runner struct {
 	// Objectives overrides spec→objective construction (tests inject fast
 	// synthetic objectives here); nil uses StudySpec.BuildObjective.
 	Objectives func(StudySpec) (hpo.Objective, error)
-	// DefaultPruner names the pruner applied to specs that leave the
-	// field empty ("" = none) — the daemon's -pruner flag.
+	// DefaultPruner names the pruner pinned at create (StudySpec.Pin) into
+	// specs that leave the field empty ("" = none) — the daemon's -pruner
+	// flag. Specs journaled before pinning resolve against all three
+	// defaults at every run and verify.
 	DefaultPruner string
 	// DefaultScheduler names the rung-driven scheduler applied to specs
 	// that leave the field empty ("" = none) — the daemon's -scheduler
@@ -251,7 +253,7 @@ func (r *Runner) execute(id string) error {
 		return err
 	}
 
-	sampler, scheduler, pruner, err := spec.BuildDecisions(r.DefaultScheduler, r.DefaultRungMode, r.DefaultPruner)
+	sampler, scheduler, err := spec.BuildDecisions(r.DefaultScheduler, r.DefaultRungMode, r.DefaultPruner)
 	if err != nil {
 		return r.fail(id, err)
 	}
@@ -283,7 +285,6 @@ func (r *Runner) execute(id string) error {
 		BatchSize:      spec.BatchSize,
 		TargetAccuracy: spec.Target,
 		Seed:           spec.Seed,
-		Pruner:         pruner,
 		Scheduler:      scheduler,
 		Recorder:       recorder,
 	})

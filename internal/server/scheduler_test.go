@@ -72,7 +72,7 @@ func TestRungModeDaemonFallback(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sampler, sched, _, err := spec.BuildDecisions("", defMode, "")
+		sampler, sched, err := spec.BuildDecisions("", defMode, "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,6 +104,8 @@ func TestRungModeDaemonFallback(t *testing.T) {
 // pruner: for every (spec, daemon -scheduler/-rung-mode/-pruner) row,
 // BuildDecisions (what the runner executes) and ReplayParams (what verify
 // replays) agree on the expected engine, or both reject with ErrBadSpec.
+// The spec Pin persists at create resolves to the same engine under the
+// row's defaults and under different ones.
 func TestResolutionTable(t *testing.T) {
 	type want struct{ scheduler, mode, pruner string }
 	bad := want{scheduler: "bad"}
@@ -142,7 +144,7 @@ func TestResolutionTable(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		sampler, sched, pruner, err := spec.BuildDecisions(c.defSched, c.defMode, c.defPr)
+		sampler, sched, err := spec.BuildDecisions(c.defSched, c.defMode, c.defPr)
 		var built want
 		switch s := sched.(type) {
 		case nil:
@@ -156,11 +158,10 @@ func TestResolutionTable(t *testing.T) {
 			}
 		case *hpo.ASHAScheduler:
 			built.scheduler, built.mode = "asha", hpo.RungAsync
+		case *hpo.MedianStop, *hpo.ASHA:
+			built.pruner = s.Name()
 		default:
 			t.Fatalf("%s: unexpected scheduler %T", name, sched)
-		}
-		if pruner != nil {
-			built.pruner = pruner.Name()
 		}
 		if err != nil {
 			if !errors.Is(err, ErrBadSpec) {
@@ -183,18 +184,37 @@ func TestResolutionTable(t *testing.T) {
 		if replayed != c.want {
 			t.Errorf("%s: ReplayParams = %+v (err %v), want %+v", name, replayed, err, c.want)
 		}
+
+		raw, err := spec.Pin(c.defSched, c.defMode, c.defPr)
+		if (err != nil) != (c.want == bad) {
+			t.Errorf("%s: Pin error %v, want %+v", name, err, c.want)
+			continue
+		}
+		if err != nil {
+			continue
+		}
+		pinned, err := ParseSpec(raw)
+		if err != nil {
+			t.Fatalf("%s: pinned spec %s does not parse: %v", name, raw, err)
+		}
+		for _, d := range [][3]string{{c.defSched, c.defMode, c.defPr}, {"", "", ""}, {"asha", "async", "median"}, {"hyperband", "sync", "asha"}} {
+			p, err := pinned.ReplayParams(d[0], d[1], d[2])
+			if got := (want{p.Scheduler, p.RungMode, p.Pruner}); err != nil || got != c.want {
+				t.Errorf("%s: pinned spec under defaults %q resolves to %+v (err %v), want %+v", name, d, got, err, c.want)
+			}
+		}
 	}
 }
 
-// TestRungModeWithoutActiveSchedulerFailsStudy: a spec that explicitly
+// TestRungModeWithoutActiveSchedulerIsRejected: a spec that explicitly
 // sets rung_mode but activates no scheduler (no scheduler field, a
-// non-hyperband algo, and no daemon default) must fail the study with a
-// clear error instead of silently running without rungs. The spec is
-// accepted at creation time — a daemon default could still supply the
-// scheduler — so the check lands at execution. algo hyperband needs no
-// scheduler field: it is the rung scheduler, so the same rung_mode runs
-// to completion and verifies in that mode.
-func TestRungModeWithoutActiveSchedulerFailsStudy(t *testing.T) {
+// non-hyperband algo, and no daemon default) is a 400 at create, where the
+// resolution is pinned, instead of silently running without rungs. A spec
+// journaled before pinning existed still fails its study with a clear
+// error at execution. algo hyperband needs no scheduler field: it is the
+// rung scheduler, so the same rung_mode runs to completion and verifies in
+// that mode.
+func TestRungModeWithoutActiveSchedulerIsRejected(t *testing.T) {
 	journal, ts := newRungTestServer(t)
 
 	code, created := postJSON(t, ts.URL+"/v1/studies", `{
@@ -218,14 +238,20 @@ func TestRungModeWithoutActiveSchedulerFailsStudy(t *testing.T) {
 		t.Fatalf("verify = ok %v error %q report %+v, want ok in mode hyperband-rung/async", resp.OK, resp.Error, resp.Report)
 	}
 
-	code, created = postJSON(t, ts.URL+"/v1/studies", `{
-		"algo": "random", "rung_mode": "async", "budget": 9,
-		"space": {"acc": {"type": "float", "min": 0.1, "max": 0.9}},
-		"start": true}`)
-	if code != http.StatusCreated {
-		t.Fatalf("create = %d %v (spec must be accepted — a daemon default could activate a scheduler)", code, created)
+	unpinned := `{"algo": "random", "rung_mode": "async", "budget": 9,
+		"space": {"acc": {"type": "float", "min": 0.1, "max": 0.9}}}`
+	code, created = postJSON(t, ts.URL+"/v1/studies", unpinned)
+	if msg, _ := created["error"].(string); code != http.StatusBadRequest || !strings.Contains(msg, "rung_mode") {
+		t.Fatalf("create = %d %v, want 400 explaining the dropped rung_mode", code, created)
 	}
-	study := waitForState(t, ts.URL, created["id"].(string), "failed")
+
+	if err := journal.CreateStudy(store.StudyMeta{ID: "legacy", Spec: []byte(unpinned)}); err != nil {
+		t.Fatal(err)
+	}
+	if code, out := postJSON(t, ts.URL+"/v1/studies/legacy/start", ``); code != http.StatusAccepted {
+		t.Fatalf("start legacy = %d %v", code, out)
+	}
+	study := waitForState(t, ts.URL, "legacy", "failed")
 	if msg, _ := study["error"].(string); !strings.Contains(msg, "rung_mode") {
 		t.Fatalf("failure does not explain the dropped rung_mode: %q", msg)
 	}

@@ -315,6 +315,10 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	spec, err := ParseSpec(raw)
+	if err == nil {
+		// Persist the resolution, not the daemon defaults it came from.
+		raw, err = spec.Pin(s.runner.DefaultScheduler, s.runner.DefaultRungMode, s.runner.DefaultPruner)
+	}
 	if err != nil {
 		s.writeError(w, err)
 		return

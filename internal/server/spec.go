@@ -108,15 +108,10 @@ func ParseSpec(raw []byte) (StudySpec, error) {
 	if len(spec.Space) == 0 {
 		return spec, fmt.Errorf("%w: missing search space", ErrBadSpec)
 	}
-	if _, err := spec.BuildSpace(); err != nil {
-		return spec, fmt.Errorf("%w: %v", ErrBadSpec, err)
-	}
-	// Validate under the most permissive daemon defaults. Outside algo
-	// hyperband, asha is the only scheduler a daemon default can activate,
-	// so a spec rejected here is rejected by every daemon; one that needs
-	// a default (a rung_mode with no scheduler field) is checked again
-	// against the real defaults at execution.
-	if _, _, _, err := spec.BuildDecisions("asha", "", ""); err != nil {
+	// Validate the space, sampler and engine under the most permissive
+	// daemon defaults (outside algo hyperband, asha is the only scheduler a
+	// default can activate); create then pins the spec under the real ones.
+	if _, _, err := spec.BuildDecisions("asha", "", ""); err != nil {
 		return spec, err
 	}
 	if err := datasets.Check(spec.Dataset, spec.Samples); err != nil {
@@ -143,11 +138,10 @@ type resolution struct {
 }
 
 // resolve is the one place a spec's scheduler, rung mode and pruner are
-// decided: BuildDecisions (the runner, and ParseSpec's validation) and
-// ReplayParams (verify, compaction, `hpo replay`) both call it, so replay
-// re-derives decisions under the resolution the live run used. An empty
+// decided: Pin (create), BuildDecisions (the runner, ParseSpec) and
+// ReplayParams (verify, compaction, `hpo replay`) all call it. An empty
 // field falls back to the daemon default (-scheduler, -rung-mode,
-// -pruner); "none" disables either way.
+// -pruner); "none" disables either way, so a pinned spec needs none.
 //
 //   - Algo hyperband is the rung-driven Hyperband: Scheduler may only be
 //     empty or "hyperband", and CVFolds > 1 or an explicit pruner is an
@@ -229,32 +223,51 @@ func (s StudySpec) schedulerField(name string) string {
 	return fmt.Sprintf("scheduler %q", name)
 }
 
+// Pin returns the spec's JSON with its resolution under the given
+// defaults written into scheduler (none | hyperband | asha), rung_mode
+// (set only under an active scheduler) and pruner (none | median | asha).
+// The server persists it at create, so a study's decision engine is fixed
+// then: resolve is idempotent on the result, whatever the defaults.
+func (s StudySpec) Pin(defaultScheduler, defaultMode, defaultPruner string) ([]byte, error) {
+	res, err := s.resolve(defaultScheduler, defaultMode, defaultPruner)
+	if err != nil {
+		return nil, err
+	}
+	s.Scheduler, s.RungMode, s.Pruner = res.Scheduler, res.RungMode, res.Pruner
+	if s.Scheduler == "" {
+		s.Scheduler = "none"
+	}
+	if s.Pruner == "" {
+		s.Pruner = "none"
+	}
+	return json.Marshal(s)
+}
+
 // BuildDecisions constructs a fresh sampler and decision engine for one
 // run under resolve's rules: for algo hyperband one RungHyperband in both
 // the sampler and the scheduler role, otherwise the algo's sampler with
-// the resolved asha scheduler or pruner (either or both may be nil).
+// the resolved asha scheduler or pruner (nil when neither applies).
 // Every error wraps ErrBadSpec.
-func (s StudySpec) BuildDecisions(defaultScheduler, defaultMode, defaultPruner string) (hpo.Sampler, hpo.TrialScheduler, hpo.Pruner, error) {
+func (s StudySpec) BuildDecisions(defaultScheduler, defaultMode, defaultPruner string) (hpo.Sampler, hpo.TrialScheduler, error) {
 	res, err := s.resolve(defaultScheduler, defaultMode, defaultPruner)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	space, err := s.BuildSpace()
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("%w: %v", ErrBadSpec, err)
+		return nil, nil, fmt.Errorf("%w: %v", ErrBadSpec, err)
 	}
 	sampler, sched, err := hpo.NewTrialScheduler(res.Scheduler, space, s.Budget, s.PrunerEta, s.PrunerWarmup, s.Seed, res.RungMode)
 	if err == nil && sampler == nil {
 		sampler, err = hpo.NewSampler(s.Algo, space, s.Budget, s.Seed)
 	}
-	var pruner hpo.Pruner
-	if err == nil {
-		pruner, err = hpo.NewPruner(res.Pruner, s.PrunerEta, s.PrunerWarmup)
+	if err == nil && sched == nil {
+		sched, err = hpo.NewPruner(res.Pruner, s.PrunerEta, s.PrunerWarmup)
 	}
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("%w: %v", ErrBadSpec, err)
+		return nil, nil, fmt.Errorf("%w: %v", ErrBadSpec, err)
 	}
-	return sampler, sched, pruner, nil
+	return sampler, sched, nil
 }
 
 // BuildObjective constructs the training objective the spec describes.
@@ -288,9 +301,9 @@ func (s StudySpec) memoScope() string {
 }
 
 // ReplayParams maps the spec onto the replay engine's decision parameters
-// under the same resolution BuildDecisions gives the live run (resolve),
-// so the verify endpoint re-derives decisions under the daemon defaults
-// the runner applied at launch.
+// under the same resolution BuildDecisions gives the live run (resolve).
+// For a pinned spec that is the resolution fixed at create; a spec
+// journaled before pinning resolves against the defaults passed now.
 func (s StudySpec) ReplayParams(defaultScheduler, defaultMode, defaultPruner string) (replay.Params, error) {
 	res, err := s.resolve(defaultScheduler, defaultMode, defaultPruner)
 	if err != nil {
@@ -300,18 +313,11 @@ func (s StudySpec) ReplayParams(defaultScheduler, defaultMode, defaultPruner str
 	if err != nil {
 		return replay.Params{}, fmt.Errorf("%w: %v", ErrBadSpec, err)
 	}
-	p := replay.Params{
-		Scheduler: res.Scheduler,
-		RungMode:  res.RungMode,
-		Space:     space,
-		Budget:    s.Budget,
-		Seed:      s.Seed,
-		Target:    s.Target,
-	}
-	if res.Scheduler != "" {
-		p.Eta, p.MinResource = s.PrunerEta, s.PrunerWarmup
-	} else if res.Pruner != "" {
-		p.Pruner, p.PrunerEta, p.PrunerWarmup = res.Pruner, s.PrunerEta, s.PrunerWarmup
-	}
-	return p, nil
+	// pruner_eta and pruner_warmup are the knobs of whichever engine is
+	// active; at most one of res.Scheduler and res.Pruner is set.
+	return replay.Params{
+		Scheduler: res.Scheduler, RungMode: res.RungMode, Space: space, Budget: s.Budget,
+		Eta: s.PrunerEta, MinResource: s.PrunerWarmup, Seed: s.Seed, Target: s.Target,
+		Pruner: res.Pruner, PrunerEta: s.PrunerEta, PrunerWarmup: s.PrunerWarmup,
+	}, nil
 }

@@ -6,13 +6,9 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"strings"
 	"testing"
 
-	"repro/internal/cluster"
-	"repro/internal/hpo"
-	"repro/internal/runtime"
 	"repro/internal/store"
 	"repro/internal/trace"
 )
@@ -22,47 +18,7 @@ import (
 // async rung mode exists for.
 func newRungTestServer(t *testing.T) (*store.Journal, *httptest.Server) {
 	t.Helper()
-	journal, err := store.OpenJournal(filepath.Join(t.TempDir(), "j"), store.JournalOptions{NoSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { journal.Close() })
-	factory := func(spec StudySpec) (*runtime.Runtime, func(), error) {
-		rt, err := runtime.New(runtime.Options{Cluster: cluster.Local(1), Backend: runtime.Real})
-		if err != nil {
-			return nil, nil, err
-		}
-		return rt, rt.Shutdown, nil
-	}
-	srv := New(journal, factory, 1)
-	srv.Runner().Objectives = func(spec StudySpec) (hpo.Objective, error) {
-		return &hpo.FuncObjective{ObjName: "gated", Fn: func(ctx hpo.ObjectiveContext) (hpo.TrialMetrics, error) {
-			total := ctx.Config.Int("num_epochs", 1)
-			if ctx.Proceed != nil && ctx.EpochCeiling > total {
-				total = ctx.EpochCeiling
-			}
-			var m hpo.TrialMetrics
-			for e := 0; e < total; e++ {
-				if ctx.Halt != nil && ctx.Halt() != "" {
-					m.Stopped = true
-					return m, nil
-				}
-				v := ctx.Config.Float("acc", 0) * float64(e+1) / 9
-				m.Epochs, m.BestAcc, m.FinalAcc = e+1, v, v
-				if ctx.Report != nil {
-					ctx.Report(e, v)
-				}
-				if e+1 < total && ctx.Proceed != nil && !ctx.Proceed(e+1) {
-					m.Stopped = true
-					return m, nil
-				}
-			}
-			return m, nil
-		}}, nil
-	}
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
-	t.Cleanup(func() { srv.Runner().Close(0) })
+	_, journal, ts := newGatedTestServer(t, 1)
 	return journal, ts
 }
 

@@ -27,11 +27,7 @@ type VerifyResponse struct {
 // scheduler/pruner decisions from its journal record stream and checks the
 // recorded decisions byte-match the replay (docs/JOURNAL.md, "Replay
 // contract"). Pure over the journal — no runtime is touched, so verifying
-// a terminal study is always safe and repeated calls are idempotent. The
-// study's persisted spec supplies the decision parameters, resolved
-// against the daemon's current -scheduler/-rung-mode/-pruner defaults the
-// same way the runner resolved them at launch; a POST because the verdict
-// reflects this resolution, not a stored attribute of the study.
+// a terminal study is always safe and repeated calls are idempotent.
 func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	meta, err := s.getVisible(r, id)
@@ -39,34 +35,19 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	spec, err := ParseSpec(meta.Spec)
-	if err != nil {
+	rep, err := s.verify(id, meta.Spec)
+	if err != nil && !errors.Is(err, replay.ErrDivergence) && !errors.Is(err, replay.ErrCorrupt) {
+		// Not a verification verdict — a bad spec or an infrastructure
+		// failure.
 		s.writeError(w, err)
 		return
 	}
-	params, err := spec.ReplayParams(s.runner.DefaultScheduler, s.runner.DefaultRungMode, s.runner.DefaultPruner)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	recs, err := s.store.StudyRecords(id)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-
-	rep, err := replay.Verify(id, recs, params)
 	resp := VerifyResponse{OK: err == nil, Report: rep}
 	if err != nil {
 		resp.Error = err.Error()
 		var div *replay.DivergenceError
 		if errors.As(err, &div) {
 			resp.Diff = div.Diff()
-		}
-		if !errors.Is(err, replay.ErrDivergence) && !errors.Is(err, replay.ErrCorrupt) {
-			// Not a verification verdict — an infrastructure failure.
-			s.writeError(w, err)
-			return
 		}
 	}
 	writeJSON(w, http.StatusOK, resp)
@@ -89,18 +70,25 @@ func (s *Server) CompactVerify(id string) error {
 		// there is no decision stream to re-derive, nothing to protect.
 		return nil
 	}
-	spec, err := ParseSpec(meta.Spec)
+	_, err = s.verify(id, meta.Spec)
+	return err
+}
+
+// verify replays a study's journal under its persisted spec. A spec pinned
+// at create carries its resolution; one journaled before pinning resolves
+// against the daemon's current -scheduler/-rung-mode/-pruner defaults.
+func (s *Server) verify(id string, raw []byte) (*replay.Report, error) {
+	spec, err := ParseSpec(raw)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	params, err := spec.ReplayParams(s.runner.DefaultScheduler, s.runner.DefaultRungMode, s.runner.DefaultPruner)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	recs, err := s.store.StudyRecords(id)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	_, err = replay.Verify(id, recs, params)
-	return err
+	return replay.Verify(id, recs, params)
 }

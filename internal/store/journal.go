@@ -115,6 +115,12 @@ type studySegments struct {
 	lruEl *list.Element
 }
 
+// trialKey identifies one trial record within a study.
+type trialKey struct {
+	id int
+	fp string
+}
+
 // Journal is the persistent study store: a sharded append-only JSONL
 // write-ahead log (one directory of per-study segment files plus a
 // manifest, see docs/JOURNAL.md) and an in-memory index rebuilt on Open.
@@ -146,8 +152,10 @@ type Journal struct {
 	studies map[string]*StudyMeta
 	order   []string           // study ids in creation order
 	trials  map[string][]Trial // per-study, append order
-	// seenOK tracks successful fingerprints per study (resume dedup).
-	seenOK map[string]map[string]bool
+	// seenOK tracks each study's successful trials by id and fingerprint
+	// (resume dedup: a resumed copy keeps its trial's id, while a distinct
+	// trial that drew the same config has its own).
+	seenOK map[string]map[trialKey]bool
 	// memo maps scope+fingerprint → first successful trial across all
 	// studies (see Trial.Scope).
 	memo map[string]Trial
@@ -217,7 +225,7 @@ func OpenJournal(path string, opts JournalOptions) (*Journal, error) {
 		lru:        list.New(),
 		studies:    make(map[string]*StudyMeta),
 		trials:     make(map[string][]Trial),
-		seenOK:     make(map[string]map[string]bool),
+		seenOK:     make(map[string]map[trialKey]bool),
 		memo:       make(map[string]Trial),
 		promotes:   make(map[string][]Promotion),
 		epochsLive: make(map[string]int),
@@ -466,9 +474,9 @@ func (j *Journal) apply(rec record) {
 		j.trials[rec.StudyID] = append(j.trials[rec.StudyID], t)
 		if t.Succeeded() {
 			if j.seenOK[rec.StudyID] == nil {
-				j.seenOK[rec.StudyID] = make(map[string]bool)
+				j.seenOK[rec.StudyID] = make(map[trialKey]bool)
 			}
-			j.seenOK[rec.StudyID][t.Fingerprint] = true
+			j.seenOK[rec.StudyID][trialKey{t.ID, t.Fingerprint}] = true
 			// Promoted trials trained past the budget their fingerprint
 			// claims: they resume their own study but must not answer
 			// cross-study lookups for the smaller budget.
@@ -980,9 +988,9 @@ func (j *Journal) TenantEpochs(tenant string) int {
 }
 
 // AppendTrials persists finished trials for a study as one durable batch
-// (single fsync pass). Trials whose fingerprint already has a successful
-// record in this study are skipped, so resumed rounds do not duplicate
-// journal entries.
+// (single fsync pass). A trial whose id and fingerprint already have a
+// successful record in this study is skipped, so resumed rounds do not
+// duplicate journal entries.
 func (j *Journal) AppendTrials(id string, trials []Trial) error {
 	j.mu.Lock()
 	if _, ok := j.studies[id]; !ok && !j.closed {
@@ -990,15 +998,16 @@ func (j *Journal) AppendTrials(id string, trials []Trial) error {
 		return fmt.Errorf("%w: %s", ErrNotFound, id)
 	}
 	recs := make([]record, 0, len(trials))
-	batch := make(map[string]bool, len(trials))
+	batch := make(map[trialKey]bool, len(trials))
 	for _, t := range trials {
 		t = t.sanitize()
 		t.Fingerprint = fingerprintOf(t)
-		if j.seenOK[id][t.Fingerprint] || batch[t.Fingerprint] {
+		key := trialKey{t.ID, t.Fingerprint}
+		if j.seenOK[id][key] || batch[key] {
 			continue
 		}
 		if t.Succeeded() {
-			batch[t.Fingerprint] = true
+			batch[key] = true
 		}
 		tc := t
 		recs = append(recs, record{Type: recTrial, StudyID: id, Trial: &tc})

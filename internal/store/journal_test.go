@@ -2,6 +2,7 @@ package store
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -304,6 +305,34 @@ func TestJournalAppendDedupsResumedTrials(t *testing.T) {
 	trials, _ := j.StudyTrials("a")
 	if len(trials) != 1 {
 		t.Fatalf("resumed re-record duplicated: %d entries", len(trials))
+	}
+}
+
+// TestJournalAppendKeepsDistinctTrialsOfOneConfig: a sampler that runs
+// out of distinct configs proposes one again under a fresh trial id. That
+// is a second trial, not a resumed copy: its record must persist even
+// though the config already has a successful record.
+func TestJournalAppendKeepsDistinctTrialsOfOneConfig(t *testing.T) {
+	j := openTestJournal(t, filepath.Join(t.TempDir(), "j.journal"))
+	defer j.Close()
+	if err := j.CreateStudy(StudyMeta{ID: "a"}); err != nil {
+		t.Fatal(err)
+	}
+	again := mkTrial(7, 2, 0.3)
+	again.Pruned = true
+	if err := j.AppendTrials("a", []Trial{mkTrial(0, 2, 0.5), mkTrial(3, 2, 0.5), again}); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.AppendTrials("a", []Trial{mkTrial(0, 2, 0.5)}); err != nil {
+		t.Fatal(err)
+	}
+	trials, _ := j.StudyTrials("a")
+	var ids []int
+	for _, tr := range trials {
+		ids = append(ids, tr.ID)
+	}
+	if fmt.Sprint(ids) != "[0 3 7]" {
+		t.Fatalf("recorded trial ids %v, want [0 3 7]", ids)
 	}
 }
 
