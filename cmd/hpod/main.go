@@ -103,7 +103,7 @@ func main() {
 	flag.StringVar(&o.scheduler, "scheduler", "",
 		"default rung-driven scheduler for specs that set none, fixed at create: none | hyperband | asha (supersedes -pruner when active; algo hyperband specs always run hyperband, so that value changes nothing)")
 	flag.StringVar(&o.rungMode, "rung-mode", "",
-		"default rung mode for specs that set none: sync (barrier rungs; default) | async (non-barrier, runs on any capacity) — use async when the backend is smaller than a Hyperband bracket, or algo hyperband studies fail fast")
+		"default rung mode for specs that set none, fixed at create: sync (barrier rungs; default) | async (non-barrier, runs on any capacity) — use async when the backend is smaller than a Hyperband bracket, or algo hyperband studies fail fast")
 	flag.IntVar(&o.retainEvents, "retain-events", 0,
 		"per-study in-memory event window for SSE resume (0 = default, negative = unbounded)")
 	flag.IntVar(&o.maxOpenSegments, "max-open-segments", 0,
