@@ -123,13 +123,10 @@ func runExperimentBody(obj Objective, seed uint64, targetAcc float64,
 	// num_epochs so the master can halt or extend the trial at rung
 	// boundaries without re-submitting it. Backends without gates (and
 	// configs without a ceiling) train exactly num_epochs, as before.
-	if gate := ctx.Budget; gate != nil {
-		base := cfg.Int("num_epochs", 0)
-		if maxB := cfg.Int("_hb_max", 0); base > 0 && maxB > base {
-			gate.SetLimit(base)
-			octx.EpochCeiling = maxB
-			octx.Proceed = gate.Allow
-		}
+	if gate := ctx.Budget; gate != nil && gated(cfg) {
+		gate.SetLimit(cfg.Int("num_epochs", 0))
+		octx.EpochCeiling = cfg.Int("_hb_max", 0)
+		octx.Proceed = gate.Allow
 	}
 
 	metrics, err := obj.Run(octx)
@@ -141,4 +138,11 @@ func runExperimentBody(obj Objective, seed uint64, targetAcc float64,
 		res.Err = err.Error()
 	}
 	return []interface{}{res}, nil
+}
+
+// gated reports whether a trial's config arms its budget gate: a configured
+// num_epochs below the "_hb_max" promotion ceiling.
+func gated(cfg Config) bool {
+	base := cfg.Int("num_epochs", 0)
+	return base > 0 && cfg.Int("_hb_max", 0) > base
 }

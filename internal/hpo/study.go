@@ -687,6 +687,14 @@ func (s *Study) onTaskReport(taskID, epoch int, value float64) {
 	}
 	if s.opts.TargetAccuracy > 0 && value >= s.opts.TargetAccuracy {
 		s.triggerStop()
+		// This report bypasses the scheduler, so no promotion or halt
+		// will ever answer it. A gated trial whose objective ignores the
+		// target would wait at its next rung boundary forever: refuse
+		// its gate, so it returns what it has trained, as a reported
+		// trial. An objective that honours the target has stopped already.
+		if gated(trial.Config) {
+			s.opts.Runtime.CancelTask(taskID)
+		}
 		return
 	}
 	if sched := s.opts.Scheduler; sched != nil {
@@ -710,7 +718,8 @@ func (s *Study) onTaskReport(taskID, epoch int, value float64) {
 }
 
 // triggerStop cancels all pending work once (study-level early stop).
-// Running trials stop themselves via their TargetAccuracy callback.
+// Running trials stop themselves via their TargetAccuracy callback, or
+// onTaskReport refuses the gate of a gated one that reached the target.
 func (s *Study) triggerStop() {
 	s.mu.Lock()
 	if s.stopped {

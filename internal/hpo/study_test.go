@@ -157,6 +157,74 @@ func TestStudyTargetAccuracyStopsEarly(t *testing.T) {
 	}
 }
 
+// TestStudyTargetStopReleasesGatedTrials: a report that reaches the target
+// bypasses the scheduler, so no promotion or halt answers it. A gated trial
+// whose objective ignores TargetAccuracy must still end: the study refuses
+// its gate instead of leaving it paused at its next rung boundary forever.
+func TestStudyTargetStopReleasesGatedTrials(t *testing.T) {
+	space, err := ParseSpaceJSON([]byte(`{"num_epochs": [1, 3]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// No deferred Shutdown: it waits for every task, so on the failure
+	// path it would hang as the study does.
+	rt := newStudyRuntime(t, 2)
+	obj := &FuncObjective{ObjName: "ignores-target", Fn: func(ctx ObjectiveContext) (TrialMetrics, error) {
+		total := ctx.Config.Int("num_epochs", 1)
+		if ctx.Proceed != nil && ctx.EpochCeiling > total {
+			total = ctx.EpochCeiling
+		}
+		var m TrialMetrics
+		for e := 0; e < total; e++ {
+			v := 0.1 * float64(e+1)
+			m.Epochs, m.FinalAcc, m.BestAcc = e+1, v, v
+			ctx.Report(e, v)
+			if e+1 < total && ctx.Proceed != nil && !ctx.Proceed(e+1) {
+				m.Stopped = true
+				break
+			}
+		}
+		return m, nil
+	}}
+	st, err := NewStudy(StudyOptions{
+		Sampler:        NewGridSearch(space),
+		Scheduler:      NewASHAScheduler(3, 1, 9),
+		Objective:      obj,
+		Runtime:        rt,
+		Constraint:     runtime.Constraint{Cores: 1},
+		TargetAccuracy: 0.2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan *StudyResult, 1)
+	go func() {
+		res, err := st.Run()
+		if err != nil {
+			t.Errorf("study: %v", err)
+		}
+		done <- res
+	}()
+	var res *StudyResult
+	select {
+	case res = <-done:
+	case <-time.After(20 * time.Second):
+		t.Fatal("study still running 20 s after its target was reached: a gated trial is paused for good")
+	}
+	rt.Shutdown()
+	if res == nil || !res.Stopped {
+		t.Fatalf("study should report its target stop: %+v", res)
+	}
+	if len(res.Trials) != 2 {
+		t.Fatalf("trials = %d, want 2", len(res.Trials))
+	}
+	for _, tr := range res.Trials {
+		if !tr.Succeeded() || tr.BestAcc < 0.2 {
+			t.Errorf("trial %d: succeeded=%v best=%v, want a reported trial at or above the target", tr.ID, tr.Succeeded(), tr.BestAcc)
+		}
+	}
+}
+
 func TestStudyFailedTrialIsResultNotCrash(t *testing.T) {
 	space := tinySpace(t)
 	rt := newStudyRuntime(t, 2)

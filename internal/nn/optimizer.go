@@ -56,13 +56,7 @@ func (o *SGD) Step(params, grads []*tensor.Tensor) {
 		o.velocity = zerosLike(params)
 	}
 	for i, p := range params {
-		v := o.velocity[i]
-		g := grads[i]
-		pd, vd, gd := p.Data(), v.Data(), g.Data()
-		for j := range pd {
-			vd[j] = o.Momentum*vd[j] - o.LR*gd[j]
-			pd[j] += vd[j]
-		}
+		tensor.SGDStep(p.Data(), o.velocity[i].Data(), grads[i].Data(), o.LR, o.Momentum)
 	}
 }
 
@@ -87,21 +81,10 @@ func (o *Adam) Step(params, grads []*tensor.Tensor) {
 	// update needs one sqrt and one divide per element, not three divides.
 	invB1c := 1 / (1 - math.Pow(o.Beta1, float64(o.t)))
 	invB2c := 1 / (1 - math.Pow(o.Beta2, float64(o.t)))
-	c1, c2 := 1-o.Beta1, 1-o.Beta2
 	step := o.LR * invB1c
 	for i, p := range params {
-		pd := p.Data()
-		md := o.m[i].Data()
-		vd := o.v[i].Data()
-		gd := grads[i].Data()
-		for j := range pd {
-			g := gd[j]
-			m := o.Beta1*md[j] + c1*g
-			v := o.Beta2*vd[j] + c2*g*g
-			md[j] = m
-			vd[j] = v
-			pd[j] -= step * m / (math.Sqrt(v*invB2c) + o.Eps)
-		}
+		tensor.AdamStep(p.Data(), o.m[i].Data(), o.v[i].Data(), grads[i].Data(),
+			o.Beta1, o.Beta2, step, invB2c, o.Eps)
 	}
 }
 
@@ -120,14 +103,7 @@ func (o *RMSprop) Step(params, grads []*tensor.Tensor) {
 		o.cache = zerosLike(params)
 	}
 	for i, p := range params {
-		pd := p.Data()
-		cd := o.cache[i].Data()
-		gd := grads[i].Data()
-		for j := range pd {
-			g := gd[j]
-			cd[j] = o.Rho*cd[j] + (1-o.Rho)*g*g
-			pd[j] -= o.LR * g / (math.Sqrt(cd[j]) + o.Eps)
-		}
+		tensor.RMSpropStep(p.Data(), o.cache[i].Data(), grads[i].Data(), o.LR, o.Rho, o.Eps)
 	}
 }
 

@@ -155,6 +155,9 @@ func (m *Sequential) Fit(x *tensor.Tensor, y []int, valX *tensor.Tensor, valY []
 	cols := x.Dim(1)
 	batchX := tensor.New(cfg.BatchSize, cols)
 	labels := make([]int, cfg.BatchSize)
+	// Every layer hands out the same parameter and gradient tensors for its
+	// whole life, so one collection serves every batch.
+	params, grads := m.Params(), m.Grads()
 
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		if cfg.Shuffle {
@@ -184,7 +187,7 @@ func (m *Sequential) Fit(x *tensor.Tensor, y []int, valX *tensor.Tensor, valY []
 			logits := m.Forward(bx, true)
 			loss, grad := m.loss.Loss(logits, by)
 			m.Backward(grad)
-			cfg.Optimizer.Step(m.Params(), m.Grads())
+			cfg.Optimizer.Step(params, grads)
 			if tail {
 				cfg.Pool.Put(bx)
 			}

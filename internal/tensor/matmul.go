@@ -180,8 +180,8 @@ func gemmParallel(m, k, n, units int, kernel func(lo, hi int)) {
 
 // gemmNN computes out[lo:hi, :] = a[lo:hi, :]×b for row-major a (·×k),
 // b (k×n) and out (·×n). The inner kernel keeps a 4×4 accumulator tile in
-// registers across a k-panel (full 4×8 tiles go to the bit-identical
-// assembly tile4x8 when useAVX2); the first panel stores (overwriting
+// registers across a k-panel (asmTiles takes the columns the bit-identical
+// assembly tiles cover first); the first panel stores (overwriting
 // whatever dst held) and subsequent panels accumulate.
 func gemmNN(a, b, out []float64, k, n, lo, hi int) {
 	for kb := 0; kb < k; kb += kcBlock {
@@ -196,12 +196,7 @@ func gemmNN(a, b, out []float64, k, n, lo, hi int) {
 			a1 := a[(i+1)*k : (i+1)*k+k]
 			a2 := a[(i+2)*k : (i+2)*k+k]
 			a3 := a[(i+3)*k : (i+3)*k+k]
-			j := 0
-			if useAVX2 {
-				for ; j+8 <= n; j += 8 {
-					tile4x8(kEnd-kb, &a[i*k+kb], k, 1, &b[kb*n+j], n, &out[i*n+j], n, !first)
-				}
-			}
+			j := asmTiles(kEnd-kb, &a[i*k+kb], k, 1, b[kb*n:], out[i*n:], n, !first)
 			for ; j+nrTile <= n; j += nrTile {
 				var c00, c01, c02, c03 float64
 				var c10, c11, c12, c13 float64
@@ -300,10 +295,31 @@ func gemmNN(a, b, out []float64, k, n, lo, hi int) {
 	}
 }
 
+// asmTiles runs the assembly tiles across one 4-row block of a k-panel:
+// 4×16 tiles while useAVX512, then 4×8 tiles while useAVX2. a points at
+// A(0, 0) of the block, with row stride rsa and column stride csa; b and out
+// start at the panel's first row of B and the block's first output row, both
+// with row stride n. It returns the first column left for the scalar tiles.
+func asmTiles(kc int, a *float64, rsa, csa int, b, out []float64, n int, acc bool) int {
+	j := 0
+	if useAVX512 {
+		for ; j+16 <= n; j += 16 {
+			tile4x16(kc, a, rsa, csa, &b[j], n, &out[j], n, acc)
+		}
+	}
+	if useAVX2 {
+		for ; j+8 <= n; j += 8 {
+			tile4x8(kc, a, rsa, csa, &b[j], n, &out[j], n, acc)
+		}
+	}
+	return j
+}
+
 // gemmTA computes out[lo:hi, :] = (aᵀ×b)[lo:hi, :] for a (k×m), b (k×n) and
 // out (m×n), reading both operands along their natural row-major layout —
 // a[p·m+i…] and b[p·n+j…] are contiguous — so no transpose copy is needed.
-// Full 4×8 tiles take tile4x8 as in gemmNN, reading a with column stride m.
+// The assembly tiles take what they can as in gemmNN, reading a with column
+// stride m.
 func gemmTA(a, b, out []float64, k, m, n, lo, hi int) {
 	for kb := 0; kb < k; kb += kcBlock {
 		kEnd := kb + kcBlock
@@ -313,12 +329,7 @@ func gemmTA(a, b, out []float64, k, m, n, lo, hi int) {
 		first := kb == 0
 		i := lo
 		for ; i+mrTile <= hi; i += mrTile {
-			j := 0
-			if useAVX2 {
-				for ; j+8 <= n; j += 8 {
-					tile4x8(kEnd-kb, &a[kb*m+i], 1, m, &b[kb*n+j], n, &out[i*n+j], n, !first)
-				}
-			}
+			j := asmTiles(kEnd-kb, &a[kb*m+i], 1, m, b[kb*n:], out[i*n:], n, !first)
 			for ; j+nrTile <= n; j += nrTile {
 				var c00, c01, c02, c03 float64
 				var c10, c11, c12, c13 float64
