@@ -430,8 +430,10 @@ func (s *Study) runAsyncLoop(checkpoint map[string]TrialResult, resumed, memoize
 // admitConfigs turns one batch of sampler configs into runtime
 // submissions plus the immediate results of configs that never run:
 // checkpoint hits resume instantly, memo hits reuse another study's
-// persisted result — the scheduler is informed either way so its rung
-// accounting stays complete.
+// persisted result, and once the study is stopped or canceled every
+// remaining config settles as a canceled trial without being submitted —
+// the scheduler is informed either way so its rung accounting stays
+// complete.
 func (s *Study) admitConfigs(configs []Config, checkpoint map[string]TrialResult, resumed, memoized *int, visFuts *[]*runtime.Future) (futs []*runtime.Future, trials []*Trial, immediate []TrialResult, err error) {
 	rt := s.opts.Runtime
 	sched := s.opts.Scheduler
@@ -451,55 +453,53 @@ func (s *Study) admitConfigs(configs []Config, checkpoint map[string]TrialResult
 			// keys; hand the sampler back its own config so bookkeeping
 			// like Hyperband's _hb bracket binding survives a resume.
 			cached.Config = cfg
-			s.adoptFinished(cached)
-			if sched != nil {
-				// The scheduler must account for every bracket member;
-				// a resumed result exits immediately with its final
-				// value, settling its rungs without re-execution.
-				s.decisionMu.Lock()
-				sched.Admit(cached.ID, cfg.Int("num_epochs", 0), cfg)
-				s.applyDecisions(sched.Complete(cached.ID, &cached))
-				s.decisionMu.Unlock()
-			}
+			s.adoptSettled(cached)
 			immediate = append(immediate, cached)
 			*resumed++
 			continue
 		}
+		// A target stop or an operator cancel ends submission. The flags
+		// are read before the memo lookup, which can be slow, and again
+		// before Admit and Submit.
 		s.mu.Lock()
 		id := s.nextID
 		s.nextID++
+		halted := s.stopped || s.canceled
 		s.mu.Unlock()
+		if halted {
+			immediate = append(immediate, s.dropConfig(id, cfg))
+			continue
+		}
 		if memo, ok := s.memoLookup(fp); ok {
 			// Another persisted study already evaluated this exact
 			// config: reuse its result under a fresh trial id.
 			memo.ID = id
 			memo.Config = cfg
-			s.adoptFinished(memo)
-			if sched != nil {
-				s.decisionMu.Lock()
-				sched.Admit(id, cfg.Int("num_epochs", 0), cfg)
-				s.applyDecisions(sched.Complete(id, &memo))
-				s.decisionMu.Unlock()
-			}
+			s.adoptSettled(memo)
 			immediate = append(immediate, memo)
 			*memoized++
 			continue
 		}
 		trial := newTrial(id, cfg)
+		// Admit and Submit under s.mu: a stop that lands later finds the
+		// trial in byTask (or pending in the runtime) and cancels it.
+		s.mu.Lock()
+		if s.stopped || s.canceled {
+			s.mu.Unlock()
+			immediate = append(immediate, s.dropConfig(id, cfg))
+			continue
+		}
 		if sched != nil {
 			// Admit before Submit: the task may stream its first report
 			// the instant it launches, and Observe must already know the
 			// trial.
 			base := cfg.Int("num_epochs", 0)
 			sched.Admit(id, base, cfg)
-			s.mu.Lock()
 			s.baseBudget[id] = base
-			s.mu.Unlock()
 		}
-		// Submit under s.mu: the task may stream its first report the
-		// instant it launches, and onTaskReport must already find the
-		// byTask mapping (it blocks on s.mu until we finish here).
-		s.mu.Lock()
+		// The task may stream its first report the instant it launches,
+		// and onTaskReport must already find the byTask mapping (it
+		// blocks on s.mu until we finish here).
 		fut, serr := rt.Submit1(taskName, id, cfg)
 		if serr != nil {
 			s.mu.Unlock()
@@ -532,20 +532,7 @@ func (s *Study) settleTrial(trial *Trial, v interface{}) TrialResult {
 	if tr, ok := v.(TrialResult); ok {
 		res = tr
 	} else {
-		res = TrialResult{ID: trial.ID, Config: trial.Config}
-		s.mu.Lock()
-		stopped, canceled, reason := s.stopped, s.canceled, s.cancelReason
-		s.mu.Unlock()
-		switch {
-		case canceled:
-			res.Canceled = true
-			res.Err = "canceled: " + reason
-		case stopped:
-			res.Canceled = true
-			res.Err = "canceled: study target reached"
-		default:
-			res.Err = "task failed"
-		}
+		res = s.emptyResult(trial.ID, trial.Config)
 	}
 	s.mu.Lock()
 	if s.granted[trial.ID] > 0 {
@@ -565,6 +552,35 @@ func (s *Study) settleTrial(trial *Trial, v interface{}) TrialResult {
 		s.applyDecisions(sched.Complete(trial.ID, &res))
 		s.decisionMu.Unlock()
 	}
+	return res
+}
+
+// emptyResult synthesises the result of a trial that produced none: canceled
+// when the study was stopped or canceled, failed otherwise.
+func (s *Study) emptyResult(id int, cfg Config) TrialResult {
+	res := TrialResult{ID: id, Config: cfg}
+	s.mu.Lock()
+	stopped, canceled, reason := s.stopped, s.canceled, s.cancelReason
+	s.mu.Unlock()
+	switch {
+	case canceled:
+		res.Canceled = true
+		res.Err = "canceled: " + reason
+	case stopped:
+		res.Canceled = true
+		res.Err = "canceled: study target reached"
+	default:
+		res.Err = "task failed"
+	}
+	return res
+}
+
+// dropConfig settles a config drawn after the study was stopped or
+// canceled: it is never submitted, and ends canceled, as a pending task
+// canceled by the stop would.
+func (s *Study) dropConfig(id int, cfg Config) TrialResult {
+	res := s.emptyResult(id, cfg)
+	s.adoptSettled(res)
 	return res
 }
 
@@ -606,15 +622,25 @@ func (s *Study) commitResults(settled []TrialResult) error {
 	return nil
 }
 
-// adoptFinished registers a handle for a trial that never ran (checkpoint
-// resume or memo hit) so the lifecycle view stays complete.
-func (s *Study) adoptFinished(res TrialResult) {
+// adoptSettled registers a handle for a trial that never ran (checkpoint
+// resume, memo hit, or a config dropped by a stop) so the lifecycle view
+// stays complete, and settles it with the scheduler.
+func (s *Study) adoptSettled(res TrialResult) {
 	trial := newTrial(res.ID, res.Config)
 	trial.finalize(&res)
 	s.mu.Lock()
 	s.trials = append(s.trials, trial)
 	s.byID[res.ID] = trial
 	s.mu.Unlock()
+	if sched := s.opts.Scheduler; sched != nil {
+		// The scheduler must account for every bracket member; a
+		// settled result exits immediately with its final value,
+		// settling its rungs without execution.
+		s.decisionMu.Lock()
+		sched.Admit(res.ID, res.Config.Int("num_epochs", 0), res.Config)
+		s.applyDecisions(sched.Complete(res.ID, &res))
+		s.decisionMu.Unlock()
+	}
 }
 
 // applyDecisions carries a scheduler's verdicts into the runtime:

@@ -86,7 +86,7 @@ func (j *Journal) Stats() JournalStats {
 		st.Segments += len(ss.nums)
 	}
 	for _, w := range j.windows {
-		st.EventsRetained += len(w.buf)
+		st.EventsRetained += w.len()
 	}
 	return st
 }

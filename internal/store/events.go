@@ -2,63 +2,176 @@ package store
 
 import "sort"
 
-// eventWindow is the per-study in-memory event ring that feeds SSE resume:
-// a circular buffer of the last cap events. dropped remembers the highest
+// eventWindow is the per-study in-memory event window that feeds SSE
+// resume: the last cap events of the study, in seq order. Metric events,
+// the bulk of a study's stream, are packed into a pointer-free ring of
+// metricEntry; every other event, and any metric whose trial id or epoch
+// does not fit an entry, is kept whole in side. The two merge by seq, which
+// the journal issues in increasing order. dropped remembers the highest
 // sequence number evicted from the window, which is the boundary below
 // which EventsSince must synthesize a snapshot instead of replaying.
 type eventWindow struct {
-	buf     []Event
-	head    int // index of the oldest retained event once the ring is full
-	cap     int // 0 = unbounded
+	study   string        // StudyID of every event in the window
+	ring    []metricEntry // circular; len(ring) is its allocated size
+	head    int           // ring index of the oldest entry
+	n       int           // entries in the ring
+	side    []Event       // non-metric and unpackable events, oldest first
+	cap     int           // 0 = unbounded
 	dropped uint64
 }
 
-// push appends an event, evicting the oldest once the window is full.
+// metricEntry is one retained metric event. It holds no pointer, so a ring
+// of them is a single allocation the GC never scans.
+type metricEntry struct {
+	seq   uint64
+	value float64
+	trial int32
+	epoch int32
+}
+
+// minRing is the ring's first allocation.
+const minRing = 16
+
+// len reports how many events the window retains.
+func (w *eventWindow) len() int { return w.n + len(w.side) }
+
+// at returns the k-th oldest ring entry.
+func (w *eventWindow) at(k int) *metricEntry {
+	i := w.head + k
+	if i >= len(w.ring) {
+		i -= len(w.ring)
+	}
+	return &w.ring[i]
+}
+
+// push appends a non-metric event, evicting the oldest once the window is
+// full.
 func (w *eventWindow) push(ev Event) {
-	if w.cap <= 0 || len(w.buf) < w.cap {
-		w.buf = append(w.buf, ev)
+	w.makeRoom()
+	w.side = append(w.side, ev)
+}
+
+// pushMetric appends a metric event, packed into the ring when its trial
+// id and epoch fit an entry.
+func (w *eventWindow) pushMetric(seq uint64, m *MetricPoint) {
+	if int(int32(m.TrialID)) != m.TrialID || int(int32(m.Epoch)) != m.Epoch {
+		mp := *m
+		w.push(Event{Seq: seq, Type: recMetric, StudyID: w.study, Metric: &mp})
 		return
 	}
-	w.dropped = w.buf[w.head].Seq
-	w.buf[w.head] = ev
-	w.head = (w.head + 1) % w.cap
+	w.makeRoom()
+	if w.n == len(w.ring) {
+		w.grow()
+	}
+	w.n++
+	*w.at(w.n - 1) = metricEntry{seq: seq, value: m.Value, trial: int32(m.TrialID), epoch: int32(m.Epoch)}
+}
+
+// makeRoom evicts the oldest retained event when a bounded window is full.
+func (w *eventWindow) makeRoom() {
+	if w.cap <= 0 || w.len() < w.cap {
+		return
+	}
+	if len(w.side) > 0 && (w.n == 0 || w.side[0].Seq < w.at(0).seq) {
+		w.dropped = w.side[0].Seq
+		w.side[0] = Event{}
+		w.side = w.side[1:]
+	} else {
+		w.dropped = w.at(0).seq
+		w.head++
+		if w.head == len(w.ring) {
+			w.head = 0
+		}
+		w.n--
+	}
 	obsWindowEvictions.Inc()
 }
 
+// grow doubles the ring, up to the window's capacity.
+func (w *eventWindow) grow() {
+	size := max(2*len(w.ring), minRing)
+	if w.cap > 0 {
+		size = min(size, w.cap)
+	}
+	w.resize(size)
+}
+
+// resize moves the ring's entries, oldest first, into a ring of size.
+func (w *eventWindow) resize(size int) {
+	ring := make([]metricEntry, size)
+	for k := 0; k < w.n; k++ {
+		ring[k] = *w.at(k)
+	}
+	w.ring, w.head = ring, 0
+}
+
+// trim releases a finished study's spare capacity: a ring that is not full
+// shrinks to its entries. A re-started study grows it again.
+func (w *eventWindow) trim() {
+	if w.n < len(w.ring) {
+		w.resize(w.n)
+	}
+	if cap(w.side) > len(w.side) {
+		w.side = append([]Event(nil), w.side...)
+	}
+}
+
 // since returns retained events with sequence numbers greater than s,
-// oldest first.
+// oldest first. Both halves are in seq order, so each start is a binary
+// search.
 func (w *eventWindow) since(s uint64) []Event {
-	var out []Event
-	for i := 0; i < len(w.buf); i++ {
-		ev := w.buf[(w.head+i)%len(w.buf)]
-		if ev.Seq > s {
-			out = append(out, ev)
+	r := sort.Search(w.n, func(k int) bool { return w.at(k).seq > s })
+	e := sort.Search(len(w.side), func(k int) bool { return w.side[k].Seq > s })
+	if r == w.n && e == len(w.side) {
+		return nil
+	}
+	out := make([]Event, 0, w.n-r+len(w.side)-e)
+	// One allocation for every metric; its exact capacity keeps the
+	// pointers into it valid.
+	points := make([]MetricPoint, 0, w.n-r)
+	for r < w.n || e < len(w.side) {
+		if e < len(w.side) && (r == w.n || w.side[e].Seq < w.at(r).seq) {
+			out = append(out, w.side[e])
+			e++
+			continue
 		}
+		m := w.at(r)
+		points = append(points, MetricPoint{TrialID: int(m.trial), Epoch: int(m.epoch), Value: m.value})
+		out = append(out, Event{Seq: m.seq, Type: recMetric, StudyID: w.study, Metric: &points[len(points)-1]})
+		r++
 	}
 	return out
 }
 
-// pushEvent appends to a study's window, creating it on first use. A
-// terminal study whose window was evicted (boot replay, compaction) never
-// grows one back — its resume view is the index snapshot. Callers must
-// hold j.mu.
-func (j *Journal) pushEvent(ev Event) {
-	w := j.windows[ev.StudyID]
+// windowFor returns the study's window for an event at seq, creating it on
+// first use. A terminal study whose window was evicted (boot replay,
+// compaction) never grows one back — its resume view is the index
+// snapshot — so the result may be nil. Callers must hold j.mu.
+func (j *Journal) windowFor(id string, seq uint64) *eventWindow {
+	w := j.windows[id]
 	if w == nil {
-		if meta := j.studies[ev.StudyID]; meta != nil && meta.State.Terminal() {
-			return
+		if meta := j.studies[id]; meta != nil && meta.State.Terminal() {
+			return nil
 		}
-		w = &eventWindow{cap: j.retain}
-		if len(j.trials[ev.StudyID]) > 0 && ev.Seq > 0 {
+		w = &eventWindow{study: id, cap: j.retain}
+		if len(j.trials[id]) > 0 && seq > 0 {
 			// The window is being recreated mid-life — a terminal study
 			// whose window was evicted is being re-started. Everything
 			// before this event counts as evicted, so a resume below it
 			// serves the index snapshot instead of a silent gap.
-			w.dropped = ev.Seq - 1
+			w.dropped = seq - 1
 		}
-		j.windows[ev.StudyID] = w
+		j.windows[id] = w
 	}
-	w.push(ev)
+	return w
+}
+
+// pushEvent appends a non-metric event to its study's window. Callers must
+// hold j.mu.
+func (j *Journal) pushEvent(ev Event) {
+	if w := j.windowFor(ev.StudyID, ev.Seq); w != nil {
+		w.push(ev)
+	}
 }
 
 // EventsSince returns journal events with sequence numbers greater than

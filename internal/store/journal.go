@@ -462,6 +462,9 @@ func (j *Journal) apply(rec record) {
 			delete(j.epochsLive, rec.StudyID)
 		}
 		j.pushEvent(Event{Seq: rec.Seq, Type: recState, StudyID: rec.StudyID, State: rec.State, Error: rec.Error})
+		if w := j.windows[rec.StudyID]; w != nil && rec.State.Terminal() {
+			w.trim()
+		}
 	case recTrial:
 		if rec.Trial == nil {
 			return
@@ -494,8 +497,9 @@ func (j *Journal) apply(rec record) {
 			return
 		}
 		j.epochsLive[rec.StudyID]++
-		m := *rec.Metric
-		j.pushEvent(Event{Seq: rec.Seq, Type: recMetric, StudyID: rec.StudyID, Metric: &m})
+		if w := j.windowFor(rec.StudyID, rec.Seq); w != nil {
+			w.pushMetric(rec.Seq, rec.Metric)
+		}
 	case recPrune:
 		if rec.Prune == nil {
 			return
