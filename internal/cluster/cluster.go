@@ -28,24 +28,6 @@ type Spec struct {
 	Nodes []NodeSpec
 }
 
-// TotalCores sums cores across nodes.
-func (s Spec) TotalCores() int {
-	n := 0
-	for _, nd := range s.Nodes {
-		n += nd.Cores
-	}
-	return n
-}
-
-// TotalGPUs sums GPUs across nodes.
-func (s Spec) TotalGPUs() int {
-	n := 0
-	for _, nd := range s.Nodes {
-		n += nd.GPUs
-	}
-	return n
-}
-
 // String renders a short description like "MareNostrum4[2× 48c/0g]".
 func (s Spec) String() string {
 	if len(s.Nodes) == 0 {

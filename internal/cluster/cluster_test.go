@@ -6,10 +6,27 @@ import (
 	"time"
 )
 
+// totals sums cores and GPUs across a spec's nodes.
+func totals(s Spec) (cores, gpus int) {
+	for _, nd := range s.Nodes {
+		cores += nd.Cores
+		gpus += nd.GPUs
+	}
+	return cores, gpus
+}
+
+// Run delivers events until none remain and returns the final virtual
+// time.
+func (e *Engine) Run() time.Duration {
+	for e.Step() {
+	}
+	return e.now
+}
+
 func TestPresets(t *testing.T) {
 	mn := MareNostrum4(2)
-	if mn.TotalCores() != 96 || mn.TotalGPUs() != 0 {
-		t.Fatalf("MareNostrum4(2): %d cores, %d gpus", mn.TotalCores(), mn.TotalGPUs())
+	if cores, gpus := totals(mn); cores != 96 || gpus != 0 {
+		t.Fatalf("MareNostrum4(2): %d cores, %d gpus", cores, gpus)
 	}
 	mt := MinoTauro(1)
 	if mt.Nodes[0].Cores != 16 || mt.Nodes[0].GPUs != 2 {
@@ -82,8 +99,8 @@ func TestEngineOrdering(t *testing.T) {
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Fatalf("order = %v", order)
 	}
-	if e.Executed() != 3 {
-		t.Fatalf("executed = %d", e.Executed())
+	if e.executed != 3 {
+		t.Fatalf("executed = %d", e.executed)
 	}
 }
 
@@ -134,25 +151,6 @@ func TestEngineNegativeDelayPanics(t *testing.T) {
 		}
 	}()
 	NewEngine().After(-time.Second, func() {})
-}
-
-func TestEngineRunUntil(t *testing.T) {
-	e := NewEngine()
-	count := 0
-	for i := 1; i <= 10; i++ {
-		e.After(time.Duration(i)*time.Second, func() { count++ })
-	}
-	ok := e.RunUntil(func() bool { return count >= 4 })
-	if !ok || count != 4 {
-		t.Fatalf("RunUntil stopped at count=%d ok=%v", count, ok)
-	}
-	if e.Pending() != 6 {
-		t.Fatalf("pending = %d", e.Pending())
-	}
-	// Exhausting the queue without satisfying done returns false.
-	if e.RunUntil(func() bool { return false }) {
-		t.Fatal("RunUntil should report unsatisfied done")
-	}
 }
 
 func TestEngineStepEmpty(t *testing.T) {

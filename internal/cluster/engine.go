@@ -24,12 +24,6 @@ func NewEngine() *Engine { return &Engine{} }
 // Now returns the current virtual time.
 func (e *Engine) Now() time.Duration { return e.now }
 
-// Executed returns the number of events delivered so far.
-func (e *Engine) Executed() int64 { return e.executed }
-
-// Pending returns the number of scheduled, not-yet-delivered events.
-func (e *Engine) Pending() int { return len(e.pq) }
-
 // At schedules fn to run at absolute virtual time t (>= Now).
 func (e *Engine) At(t time.Duration, fn func()) {
 	if t < e.now {
@@ -57,24 +51,6 @@ func (e *Engine) Step() bool {
 	e.now = ev.at
 	e.executed++
 	ev.fn()
-	return true
-}
-
-// Run delivers events until none remain and returns the final virtual time.
-func (e *Engine) Run() time.Duration {
-	for e.Step() {
-	}
-	return e.now
-}
-
-// RunUntil delivers events until done() reports true or no events remain.
-// It returns true if done() was satisfied.
-func (e *Engine) RunUntil(done func() bool) bool {
-	for !done() {
-		if !e.Step() {
-			return done()
-		}
-	}
 	return true
 }
 

@@ -17,8 +17,8 @@ func TestParseSpecJSONExplicit(t *testing.T) {
 	if len(spec.Nodes) != 3 {
 		t.Fatalf("nodes = %d", len(spec.Nodes))
 	}
-	if spec.TotalCores() != 48*2+160 || spec.TotalGPUs() != 4 {
-		t.Fatalf("totals = %d cores, %d gpus", spec.TotalCores(), spec.TotalGPUs())
+	if cores, gpus := totals(spec); cores != 48*2+160 || gpus != 4 {
+		t.Fatalf("totals = %d cores, %d gpus", cores, gpus)
 	}
 	// Defaults applied.
 	if spec.Nodes[0].CoreSpeed != 1 || spec.Nodes[2].CoreSpeed != 0.9 {

@@ -56,12 +56,6 @@ func (g *Graph) AddEdge(e Edge) {
 	g.edges = append(g.edges, e)
 }
 
-// NumNodes returns the node count.
-func (g *Graph) NumNodes() int { return len(g.nodes) }
-
-// NumEdges returns the edge count.
-func (g *Graph) NumEdges() int { return len(g.edges) }
-
 var kindStyle = map[string]string{
 	"experiment":    `shape=circle, style=filled, fillcolor=white`,
 	"visualisation": `shape=circle, style=filled, fillcolor=lightblue`,

@@ -33,8 +33,8 @@ func TestDuplicateNodesIgnored(t *testing.T) {
 	g := New("g")
 	g.AddNode(Node{ID: 1, Kind: "experiment"})
 	g.AddNode(Node{ID: 1, Kind: "plot"})
-	if g.NumNodes() != 1 {
-		t.Fatalf("NumNodes = %d, want 1", g.NumNodes())
+	if len(g.nodes) != 1 {
+		t.Fatalf("nodes = %d, want 1", len(g.nodes))
 	}
 }
 
@@ -86,7 +86,7 @@ func TestCounts(t *testing.T) {
 	g.AddNode(Node{ID: 1})
 	g.AddNode(Node{ID: 2})
 	g.AddEdge(Edge{From: 1, To: 2})
-	if g.NumNodes() != 2 || g.NumEdges() != 1 {
-		t.Fatalf("counts = %d nodes, %d edges", g.NumNodes(), g.NumEdges())
+	if len(g.nodes) != 2 || len(g.edges) != 1 {
+		t.Fatalf("counts = %d nodes, %d edges", len(g.nodes), len(g.edges))
 	}
 }

@@ -410,14 +410,6 @@ func (q *AdmissionQueue) Granted() int {
 	return q.running
 }
 
-// InFlight reports a tenant's admitted studies (waiting + granted) — the
-// number its MaxConcurrent quota is checked against.
-func (q *AdmissionQueue) InFlight(tenant string) int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.inflight[tenant]
-}
-
 // OldestWait reports how long the longest-waiting study has been queued
 // (zero when the room is empty) — the alerting signal for a stuck or
 // saturated runner.

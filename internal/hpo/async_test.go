@@ -201,7 +201,7 @@ func TestAsyncParallelBracketsBeatSequentialWallClock(t *testing.T) {
 	space := rungSpace(t)
 
 	seq := NewRungHyperbandAsync(space, maxR, eta, seed)
-	seq.SetBracketParallel(false)
+	seq.parallel = false // the sequential bracket drain of the sync mode
 	seqSpan, seqEpochs, seqBest := fakeClockRun(t, seq, slots, maxR)
 
 	par := NewRungHyperbandAsync(space, maxR, eta, seed)

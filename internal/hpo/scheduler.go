@@ -297,16 +297,6 @@ func NewRungHyperbandAsync(space *Space, maxBudget, eta int, seed uint64) *RungH
 // the MinSlots fail-fast applies: async rungs never deadlock on capacity.
 func (h *RungHyperband) AsyncRungs() bool { return h.async }
 
-// SetBracketParallel toggles per-bracket parallel execution in async mode
-// (on by default): when off, a bracket's members only enter the waiting
-// room once every earlier bracket has fully exited — the sequential drain
-// the synchronous mode is restricted to. No-op in sync mode.
-func (h *RungHyperband) SetBracketParallel(on bool) {
-	h.mu.Lock()
-	h.parallel = on
-	h.mu.Unlock()
-}
-
 // SetCapacity tells the async waiting room how many members may be in
 // flight at once — the runtime's Slots for the study's constraint.
 // Ask then admits members only as slots free up instead of flooding the

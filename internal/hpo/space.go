@@ -199,25 +199,6 @@ func (s *Space) Size() int {
 	return n
 }
 
-// Names returns the parameter names in declaration order.
-func (s *Space) Names() []string {
-	out := make([]string, len(s.Params))
-	for i, p := range s.Params {
-		out[i] = p.Name()
-	}
-	return out
-}
-
-// ByName returns the parameter with the given name, or nil.
-func (s *Space) ByName(name string) Param {
-	for _, p := range s.Params {
-		if p.Name() == name {
-			return p
-		}
-	}
-	return nil
-}
-
 // Sample draws one random config.
 func (s *Space) Sample(rng *tensor.RNG) Config {
 	cfg := Config{}

@@ -201,14 +201,6 @@ func NewStudy(opts StudyOptions) (*Study, error) {
 // taskName is the registered experiment task type.
 const taskName = "experiment"
 
-// Trials returns the study's trial handles in creation order (live view;
-// states advance as the study runs).
-func (s *Study) Trials() []*Trial {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]*Trial(nil), s.trials...)
-}
-
 // Run executes the study to completion (or early stop/cancellation) and
 // returns the aggregated result.
 func (s *Study) Run() (*StudyResult, error) {

@@ -1,9 +1,6 @@
 package hpo
 
-import (
-	"fmt"
-	"sync"
-)
+import "sync"
 
 // TrialState is the lifecycle of one trial handle:
 //
@@ -30,26 +27,6 @@ const (
 	// TrialCanceled: dropped by study-level early stop or cancellation.
 	TrialCanceled
 )
-
-// String renders the state for logs and status APIs.
-func (s TrialState) String() string {
-	switch s {
-	case TrialPending:
-		return "pending"
-	case TrialRunning:
-		return "running"
-	case TrialReported:
-		return "reported"
-	case TrialPruned:
-		return "pruned"
-	case TrialFailed:
-		return "failed"
-	case TrialCanceled:
-		return "canceled"
-	default:
-		return fmt.Sprintf("state(%d)", int(s))
-	}
-}
 
 // Terminal reports whether the trial reached an end state.
 func (s TrialState) Terminal() bool {
@@ -85,40 +62,12 @@ type Trial struct {
 // newTrial builds a pending handle.
 func newTrial(id int, cfg Config) *Trial { return &Trial{ID: id, Config: cfg} }
 
-// State returns the current lifecycle state.
-func (t *Trial) State() TrialState {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.state
-}
-
 // TaskID returns the runtime invocation executing this trial (0 when the
 // trial never ran).
 func (t *Trial) TaskID() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.taskID
-}
-
-// Reports returns a copy of the intermediate metric stream observed so far.
-func (t *Trial) Reports() []EpochReport {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]EpochReport(nil), t.reports...)
-}
-
-// Reason returns why the trial was pruned or canceled ("" otherwise).
-func (t *Trial) Reason() string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.reason
-}
-
-// Result returns the final result once the trial is terminal, else nil.
-func (t *Trial) Result() *TrialResult {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.result
 }
 
 // markRunning transitions pending → running and records the executing task.

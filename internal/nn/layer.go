@@ -17,7 +17,7 @@ import (
 // input and accumulating parameter gradients internally.
 type Layer interface {
 	// Forward computes the layer output for input x. train reports whether
-	// the network is training (relevant for Dropout).
+	// the network is training.
 	Forward(x *tensor.Tensor, train bool) *tensor.Tensor
 	// Backward computes the input gradient given the output gradient.
 	Backward(grad *tensor.Tensor) *tensor.Tensor
@@ -174,86 +174,3 @@ func shapeEq(a, b *tensor.Tensor) bool {
 	}
 	return true
 }
-
-// Tanh applies the hyperbolic tangent element-wise.
-type Tanh struct {
-	lastY *tensor.Tensor
-}
-
-// NewTanh constructs a Tanh activation layer.
-func NewTanh() *Tanh { return &Tanh{} }
-
-// Forward implements Layer.
-func (l *Tanh) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	l.lastY = x.Apply(tanh)
-	return l.lastY
-}
-
-// Backward implements Layer.
-func (l *Tanh) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	return grad.Mul(l.lastY.Apply(func(y float64) float64 { return 1 - y*y }))
-}
-
-// Params implements Layer.
-func (l *Tanh) Params() []*tensor.Tensor { return nil }
-
-// Grads implements Layer.
-func (l *Tanh) Grads() []*tensor.Tensor { return nil }
-
-// Name implements Layer.
-func (l *Tanh) Name() string { return "Tanh" }
-
-func tanh(x float64) float64 {
-	// math.Tanh via exp identities; use the library for accuracy.
-	return mathTanh(x)
-}
-
-// Dropout randomly zeroes a fraction of activations during training and
-// rescales the survivors (inverted dropout), matching Keras semantics.
-type Dropout struct {
-	Rate float64
-	rng  *tensor.RNG
-	mask *tensor.Tensor
-}
-
-// NewDropout constructs a dropout layer with the given drop rate in [0, 1).
-func NewDropout(r *tensor.RNG, rate float64) *Dropout {
-	if rate < 0 || rate >= 1 {
-		panic(fmt.Sprintf("nn: dropout rate %v out of [0,1)", rate))
-	}
-	return &Dropout{Rate: rate, rng: r}
-}
-
-// Forward implements Layer.
-func (l *Dropout) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	if !train || l.Rate == 0 {
-		l.mask = nil
-		return x
-	}
-	keep := 1 - l.Rate
-	l.mask = tensor.New(x.Shape()...)
-	md := l.mask.Data()
-	for i := range md {
-		if l.rng.Float64() < keep {
-			md[i] = 1 / keep
-		}
-	}
-	return x.Mul(l.mask)
-}
-
-// Backward implements Layer.
-func (l *Dropout) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	if l.mask == nil {
-		return grad
-	}
-	return grad.Mul(l.mask)
-}
-
-// Params implements Layer.
-func (l *Dropout) Params() []*tensor.Tensor { return nil }
-
-// Grads implements Layer.
-func (l *Dropout) Grads() []*tensor.Tensor { return nil }
-
-// Name implements Layer.
-func (l *Dropout) Name() string { return fmt.Sprintf("Dropout(%.2f)", l.Rate) }

@@ -6,8 +6,6 @@ import (
 	"repro/internal/tensor"
 )
 
-func mathTanh(x float64) float64 { return math.Tanh(x) }
-
 // SoftmaxCrossEntropy fuses the final softmax with categorical cross-entropy,
 // the standard output stage for the 10-class MNIST/CIFAR models in the paper.
 // Fusing keeps the backward pass numerically simple: grad = (probs - onehot)/N.
@@ -54,20 +52,4 @@ func Accuracy(logits *tensor.Tensor, labels []int) float64 {
 		}
 	}
 	return float64(hit) / float64(len(labels))
-}
-
-// MSE is mean squared error for regression-style objectives (used by the
-// Bayesian-optimisation surrogate tests).
-type MSE struct{}
-
-// Loss returns the mean squared error between pred and target (both N×1 or
-// equal shapes) and the gradient with respect to pred.
-func (MSE) Loss(pred, target *tensor.Tensor) (float64, *tensor.Tensor) {
-	diff := pred.Sub(target)
-	n := float64(diff.Size())
-	loss := 0.0
-	for _, v := range diff.Data() {
-		loss += v * v
-	}
-	return loss / n, diff.Scale(2 / n)
 }

@@ -1,11 +1,6 @@
 package nn
 
-import (
-	"fmt"
-	"strings"
-
-	"repro/internal/tensor"
-)
+import "repro/internal/tensor"
 
 // Sequential is a feed-forward stack of layers trained with softmax
 // cross-entropy, the model shape used by the paper's MNIST and CIFAR-10
@@ -36,7 +31,7 @@ func NewMLP(r *tensor.RNG, in int, hidden []int, classes int) *Sequential {
 }
 
 // SetParallelism bounds the goroutine budget of every layer that supports
-// internal parallelism (Dense, Conv2D, BatchNorm — anything exposing a
+// internal parallelism (Dense, Conv2D — anything exposing a
 // SetParallelism method). It corresponds to the ComputingUnits constraint a
 // COMPSs task is granted: "if a task has built-in parallelism, PyCOMPSs will
 // not interfere with this" (paper §3); plumbing it here, once, keeps every
@@ -52,9 +47,6 @@ func (m *Sequential) SetParallelism(units int) {
 		}
 	}
 }
-
-// Parallelism returns the current goroutine budget.
-func (m *Sequential) Parallelism() int { return m.units }
 
 // Forward runs the full stack on a batch.
 func (m *Sequential) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
@@ -106,33 +98,9 @@ func (m *Sequential) Grads() []*tensor.Tensor {
 	return out
 }
 
-// NumParams returns the total number of trainable scalars.
-func (m *Sequential) NumParams() int {
-	n := 0
-	for _, p := range m.Params() {
-		n += p.Size()
-	}
-	return n
-}
-
 // Evaluate returns the mean loss and accuracy on a labelled set.
 func (m *Sequential) Evaluate(x *tensor.Tensor, labels []int) (loss, acc float64) {
 	logits := m.Forward(x, false)
 	loss, _ = m.loss.Loss(logits, labels)
 	return loss, Accuracy(logits, labels)
-}
-
-// Predict returns the argmax class per row.
-func (m *Sequential) Predict(x *tensor.Tensor) []int {
-	return m.Forward(x, false).ArgMaxRows()
-}
-
-// Summary renders a human-readable description of the stack.
-func (m *Sequential) Summary() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Sequential (%d params)\n", m.NumParams())
-	for i, l := range m.Layers {
-		fmt.Fprintf(&b, "  %2d: %s\n", i, l.Name())
-	}
-	return b.String()
 }

@@ -15,7 +15,7 @@ func TestDenseForwardKnownValues(t *testing.T) {
 	d.B = tensor.FromSlice([]float64{0.5, -0.5}, 1, 2)
 	x := tensor.FromSlice([]float64{1, 1}, 1, 2)
 	y := d.Forward(x, true)
-	if y.At(0, 0) != 4.5 || y.At(0, 1) != 5.5 {
+	if y.Data()[0] != 4.5 || y.Data()[1] != 5.5 {
 		t.Fatalf("Dense forward = %v", y.Data())
 	}
 }
@@ -76,60 +76,13 @@ func TestReLUForwardBackward(t *testing.T) {
 	l := NewReLU()
 	x := tensor.FromSlice([]float64{-1, 0, 2}, 1, 3)
 	y := l.Forward(x, true)
-	if y.At(0, 0) != 0 || y.At(0, 2) != 2 {
+	if y.Data()[0] != 0 || y.Data()[2] != 2 {
 		t.Fatalf("ReLU forward = %v", y.Data())
 	}
 	g := l.Backward(tensor.FromSlice([]float64{5, 5, 5}, 1, 3))
-	if g.At(0, 0) != 0 || g.At(0, 2) != 5 {
+	if g.Data()[0] != 0 || g.Data()[2] != 5 {
 		t.Fatalf("ReLU backward = %v", g.Data())
 	}
-}
-
-func TestTanhRange(t *testing.T) {
-	l := NewTanh()
-	x := tensor.FromSlice([]float64{-10, 0, 10}, 1, 3)
-	y := l.Forward(x, true)
-	if y.At(0, 0) > -0.99 || math.Abs(y.At(0, 1)) > 1e-12 || y.At(0, 2) < 0.99 {
-		t.Fatalf("Tanh forward = %v", y.Data())
-	}
-	// Gradient at 0 is 1.
-	g := l.Backward(tensor.FromSlice([]float64{1, 1, 1}, 1, 3))
-	if math.Abs(g.At(0, 1)-1) > 1e-12 {
-		t.Fatalf("Tanh backward at 0 = %v", g.At(0, 1))
-	}
-}
-
-func TestDropoutTrainVsEval(t *testing.T) {
-	r := tensor.NewRNG(4)
-	l := NewDropout(r, 0.5)
-	x := tensor.Ones(1, 1000)
-	yTrain := l.Forward(x, true)
-	zeros := 0
-	for _, v := range yTrain.Data() {
-		if v == 0 {
-			zeros++
-		}
-	}
-	if zeros < 300 || zeros > 700 {
-		t.Fatalf("dropout zeroed %d/1000, want ~500", zeros)
-	}
-	// Inverted dropout preserves expected activation.
-	if m := yTrain.Mean(); math.Abs(m-1) > 0.15 {
-		t.Fatalf("dropout mean = %v, want ~1", m)
-	}
-	yEval := l.Forward(x, false)
-	if !yEval.Equal(x) {
-		t.Fatal("dropout must be identity in eval mode")
-	}
-}
-
-func TestDropoutBadRatePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for rate 1.0")
-		}
-	}()
-	NewDropout(tensor.NewRNG(1), 1.0)
 }
 
 func TestSoftmaxCrossEntropyKnown(t *testing.T) {
@@ -144,7 +97,7 @@ func TestSoftmaxCrossEntropyKnown(t *testing.T) {
 	for r := 0; r < 2; r++ {
 		s := 0.0
 		for c := 0; c < 4; c++ {
-			s += grad.At(r, c)
+			s += grad.Data()[r*4+c]
 		}
 		if math.Abs(s) > 1e-9 {
 			t.Fatalf("grad row %d sums to %v", r, s)
@@ -165,19 +118,6 @@ func TestAccuracy(t *testing.T) {
 	}
 	if Accuracy(tensor.New(0, 3), nil) != 0 {
 		t.Fatal("empty accuracy should be 0")
-	}
-}
-
-func TestMSELoss(t *testing.T) {
-	var l MSE
-	pred := tensor.FromSlice([]float64{1, 2}, 2)
-	target := tensor.FromSlice([]float64{0, 0}, 2)
-	loss, grad := l.Loss(pred, target)
-	if math.Abs(loss-2.5) > 1e-12 {
-		t.Fatalf("MSE = %v, want 2.5", loss)
-	}
-	if math.Abs(grad.Data()[1]-2) > 1e-12 {
-		t.Fatalf("MSE grad = %v", grad.Data())
 	}
 }
 
@@ -205,13 +145,23 @@ func TestOptimizersReduceConvexLoss(t *testing.T) {
 		}
 		w := tensor.FromSlice([]float64{3, -2, 1}, 3)
 		params := []*tensor.Tensor{w}
-		initial := w.Norm()
-		for step := 0; step < 200; step++ {
-			grads := []*tensor.Tensor{w.Scale(2)} // ∇||w||² = 2w
-			opt.Step(params, grads)
+		norm := func() float64 {
+			s := 0.0
+			for _, v := range w.Data() {
+				s += v * v
+			}
+			return math.Sqrt(s)
 		}
-		if w.Norm() > initial*0.1 {
-			t.Fatalf("%s failed to descend: |w| %v → %v", name, initial, w.Norm())
+		initial := norm()
+		grad := tensor.New(3)
+		for step := 0; step < 200; step++ {
+			for i, v := range w.Data() {
+				grad.Data()[i] = 2 * v // ∇||w||² = 2w
+			}
+			opt.Step(params, []*tensor.Tensor{grad})
+		}
+		if norm() > initial*0.1 {
+			t.Fatalf("%s failed to descend: |w| %v → %v", name, initial, norm())
 		}
 	}
 }
@@ -220,11 +170,12 @@ func TestSequentialSummaryAndParams(t *testing.T) {
 	r := tensor.NewRNG(5)
 	m := NewMLP(r, 10, []int{8}, 3)
 	// Dense(10→8): 80+8; Dense(8→3): 24+3.
-	if got := m.NumParams(); got != 115 {
-		t.Fatalf("NumParams = %d, want 115", got)
+	n := 0
+	for _, p := range m.Params() {
+		n += p.Size()
 	}
-	if m.Summary() == "" {
-		t.Fatal("empty summary")
+	if n != 115 {
+		t.Fatalf("trainable scalars = %d, want 115", n)
 	}
 	if len(m.Params()) != len(m.Grads()) {
 		t.Fatal("Params/Grads misaligned")
@@ -235,8 +186,8 @@ func TestSetParallelismPropagates(t *testing.T) {
 	r := tensor.NewRNG(6)
 	m := NewMLP(r, 4, []int{4}, 2)
 	m.SetParallelism(8)
-	if m.Parallelism() != 8 {
-		t.Fatalf("Parallelism = %d", m.Parallelism())
+	if m.units != 8 {
+		t.Fatalf("units = %d", m.units)
 	}
 	for _, l := range m.Layers {
 		if d, ok := l.(*Dense); ok && d.units != 8 {
@@ -244,8 +195,8 @@ func TestSetParallelismPropagates(t *testing.T) {
 		}
 	}
 	m.SetParallelism(0)
-	if m.Parallelism() != 1 {
-		t.Fatalf("Parallelism floor = %d, want 1", m.Parallelism())
+	if m.units != 1 {
+		t.Fatalf("units floor = %d, want 1", m.units)
 	}
 }
 

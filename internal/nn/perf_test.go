@@ -6,40 +6,6 @@ import (
 	"repro/internal/tensor"
 )
 
-// BatchNorm's column stripes must produce identical results regardless of the
-// goroutine fan-out. Batch×features is chosen above the serial cutover so the
-// units=8 run actually exercises the parallel path.
-func TestBatchNormParallelAgreement(t *testing.T) {
-	const batch, features = 512, 64
-	r := tensor.NewRNG(11)
-	x := tensor.Randn(r, batch, features)
-	grad := tensor.Randn(r, batch, features)
-
-	run := func(units int) (out, dX, dG, dB []float64) {
-		b := NewBatchNorm(features)
-		b.SetParallelism(units)
-		o := b.Forward(x, true)
-		d := b.Backward(grad)
-		return append([]float64(nil), o.Data()...),
-			append([]float64(nil), d.Data()...),
-			append([]float64(nil), b.dGamma.Data()...),
-			append([]float64(nil), b.dBeta.Data()...)
-	}
-
-	o1, d1, g1, b1 := run(1)
-	o8, d8, g8, b8 := run(8)
-	for name, pair := range map[string][2][]float64{
-		"out": {o1, o8}, "dX": {d1, d8}, "dGamma": {g1, g8}, "dBeta": {b1, b8},
-	} {
-		a, b := pair[0], pair[1]
-		for i := range a {
-			if diff := a[i] - b[i]; diff > 1e-12 || diff < -1e-12 {
-				t.Fatalf("%s[%d]: serial %v vs parallel %v", name, i, a[i], b[i])
-			}
-		}
-	}
-}
-
 // Dense.BackwardParamsOnly must accumulate exactly the dW/dB that the full
 // Backward does — it only skips the input-gradient product. This pins the
 // first-layer skip in Sequential.Backward to the full-path semantics.

@@ -71,32 +71,6 @@ type Callback interface {
 // clean early stop.
 var ErrStopTraining = errors.New("nn: stop training")
 
-// EarlyStopping stops when the monitored validation accuracy has not
-// improved by MinDelta for Patience consecutive epochs — the facility the
-// paper calls "of paramount significance" for MNIST-style workloads (§6.2).
-type EarlyStopping struct {
-	Patience int
-	MinDelta float64
-	best     float64
-	bad      int
-}
-
-// OnEpochEnd implements Callback.
-func (e *EarlyStopping) OnEpochEnd(epoch int, h *History) error {
-	cur := h.ValAcc[len(h.ValAcc)-1]
-	if cur > e.best+e.MinDelta {
-		e.best = cur
-		e.bad = 0
-		return nil
-	}
-	e.bad++
-	if e.bad >= e.Patience {
-		return fmt.Errorf("early stopping: no val_acc improvement > %v for %d epochs: %w",
-			e.MinDelta, e.Patience, ErrStopTraining)
-	}
-	return nil
-}
-
 // TargetAccuracy stops as soon as validation accuracy reaches Target, the
 // "stop when one task achieves a specified accuracy" behaviour from §6.1.
 type TargetAccuracy struct {

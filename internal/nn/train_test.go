@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"errors"
 	"strings"
 	"testing"
 
@@ -118,29 +117,6 @@ func TestTargetAccuracyStopsEarly(t *testing.T) {
 	}
 	if !strings.Contains(h.StopReason, "target accuracy") {
 		t.Fatalf("StopReason = %q", h.StopReason)
-	}
-}
-
-func TestEarlyStoppingPatience(t *testing.T) {
-	es := &EarlyStopping{Patience: 2, MinDelta: 0.01}
-	h := &History{}
-	feed := func(acc float64) error {
-		h.ValAcc = append(h.ValAcc, acc)
-		h.ValLoss = append(h.ValLoss, 0)
-		return es.OnEpochEnd(len(h.ValAcc)-1, h)
-	}
-	if err := feed(0.5); err != nil {
-		t.Fatal(err)
-	}
-	if err := feed(0.6); err != nil {
-		t.Fatal(err)
-	}
-	if err := feed(0.6); err != nil { // first bad epoch
-		t.Fatal(err)
-	}
-	err := feed(0.6) // second bad epoch → stop
-	if err == nil || !errors.Is(err, ErrStopTraining) {
-		t.Fatalf("expected ErrStopTraining, got %v", err)
 	}
 }
 

@@ -9,7 +9,7 @@
 // The registry is deliberately small: fixed label sets declared at
 // registration, no timestamps, no exemplars. docs/OBSERVABILITY.md is the
 // normative metric-name registry; a test (and the CI docs check) pins it
-// to FamilyNames.
+// to the registered metric families.
 package obs
 
 import (
@@ -130,13 +130,6 @@ func (h *Histogram) Observe(v float64) {
 // ObserveSince records the seconds elapsed since t0 — the one-liner for
 // latency instrumentation.
 func (h *Histogram) ObserveSince(t0 time.Time) { h.Observe(time.Since(t0).Seconds()) }
-
-// Count returns how many samples were observed.
-func (h *Histogram) Count() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.count
-}
 
 // DurationBuckets returns the default latency bucket bounds in seconds,
 // spanning ~25µs to 10s.
@@ -282,19 +275,6 @@ func (r *Registry) OnScrape(key string, fn func()) {
 		return
 	}
 	r.hooks[key] = fn
-}
-
-// FamilyNames returns every registered metric family name, sorted — the
-// registry side of the docs/OBSERVABILITY.md cross-check.
-func (r *Registry) FamilyNames() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, 0, len(r.families))
-	for name := range r.families {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // WritePrometheus renders the registry in the Prometheus text exposition

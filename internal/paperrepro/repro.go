@@ -10,7 +10,6 @@ package paperrepro
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -160,16 +159,4 @@ func startedAtZero(rec *trace.Recorder) int {
 		}
 	}
 	return n
-}
-
-// sortedStartTimes returns distinct task start times in order.
-func sortedStartTimes(rec *trace.Recorder) []time.Duration {
-	var ts []time.Duration
-	for _, ev := range rec.Events() {
-		if ev.Type == trace.EventTaskStart {
-			ts = append(ts, ev.At)
-		}
-	}
-	sort.Slice(ts, func(i, j int) bool { return ts[i] < ts[j] })
-	return ts
 }

@@ -44,14 +44,6 @@ func (f *Future) TaskID() int {
 	return f.producer.id
 }
 
-// Resolved reports whether the value is available (requires no lock for
-// callers that already hold results from WaitOn; safe snapshot otherwise).
-func (f *Future) Resolved() bool {
-	f.rt.mu.Lock()
-	defer f.rt.mu.Unlock()
-	return f.resolved
-}
-
 // value access must happen under rt.mu; WaitOn handles that for callers.
 
 // InOut marks a future argument as read-write, creating a new version of
@@ -61,6 +53,3 @@ func (f *Future) Resolved() bool {
 type InOut struct {
 	Future *Future
 }
-
-// inOutArg is the internal normalised form.
-func (io InOut) arg() *Future { return io.Future }

@@ -64,13 +64,6 @@ func (g *BudgetGate) Stop() {
 	g.cond.Broadcast()
 }
 
-// Limit returns the current effective epoch ceiling (0 when inert).
-func (g *BudgetGate) Limit() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.limitLocked()
-}
-
 func (g *BudgetGate) limitLocked() int {
 	if g.base == 0 {
 		return 0

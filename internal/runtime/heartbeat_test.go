@@ -62,7 +62,7 @@ func TestHeartbeatTimeoutResubmits(t *testing.T) {
 	// Worker 1: healthy, with fast heartbeats.
 	healthyMaster, healthySide := comm.NewMemPair(16)
 	w := NewWorker(1, 0)
-	w.SetHeartbeatInterval(25 * time.Millisecond)
+	w.heartbeat = 25 * time.Millisecond
 	if err := w.Register(def); err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestHealthyWorkerSurvivesMonitor(t *testing.T) {
 
 	master, side := comm.NewMemPair(16)
 	w := NewWorker(1, 0)
-	w.SetHeartbeatInterval(20 * time.Millisecond)
+	w.heartbeat = 20 * time.Millisecond
 	if err := w.Register(def); err != nil {
 		t.Fatal(err)
 	}

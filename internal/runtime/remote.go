@@ -326,10 +326,6 @@ func NewWorker(cores, gpus int) *Worker {
 	return &Worker{cores: cores, gpus: gpus, defs: make(map[string]TaskDef), heartbeat: time.Second}
 }
 
-// SetHeartbeatInterval changes the liveness heartbeat period; 0 disables
-// heartbeats (the master then relies on transport closure alone).
-func (w *Worker) SetHeartbeatInterval(d time.Duration) { w.heartbeat = d }
-
 // Register adds an executable task definition to the worker's registry.
 func (w *Worker) Register(def TaskDef) error {
 	def, err := def.normalise()

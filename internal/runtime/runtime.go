@@ -742,10 +742,6 @@ func (rt *Runtime) Shutdown() {
 	rt.backend.close()
 }
 
-// Now returns the backend's current time (wall-clock since start, or
-// virtual).
-func (rt *Runtime) Now() time.Duration { return rt.backend.now() }
-
 // Stats is a snapshot of runtime counters.
 type Stats struct {
 	Submitted int

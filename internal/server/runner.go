@@ -88,9 +88,6 @@ func (r *Runner) ConfigureTenancy(limits func(tenant string) hpo.TenantLimits, e
 // room rejects Start with hpo.ErrBackpressure.
 func (r *Runner) SetQueueDepth(n int) { r.adm.SetMaxDepth(n) }
 
-// Admission exposes the admission queue (metrics, tests).
-func (r *Runner) Admission() *hpo.AdmissionQueue { return r.adm }
-
 // Start queues a persisted study for execution. Starting a study that is
 // already queued or running is a no-op (idempotent); finished (or
 // canceled) studies re-run, resuming every recorded trial from the

@@ -21,30 +21,11 @@ const (
 	// into the output, so changing it changes the result bits.
 	kcBlock = 256
 	// parallelCutover is the minimum multiply-add count (m·n·k) before
-	// MatMulParallel and friends spawn goroutines. Below it the fork/join
+	// the GEMM entry points spawn goroutines. Below it the fork/join
 	// overhead outweighs the work: a 32×32×32 product is ~33k mul-adds and
 	// runs in a few microseconds, the same order as a goroutine handoff.
 	parallelCutover = 1 << 17
 )
-
-// MatMul returns the matrix product a×b of two 2-D tensors using the tiled
-// serial kernel. It is shorthand for MatMulParallel(a, b, 1); use
-// MatMulParallel (or the *Into / *Trans* variants) to bound the kernel by a
-// task's computing units or to avoid allocating the result.
-func MatMul(a, b *Tensor) *Tensor {
-	return MatMulParallel(a, b, 1)
-}
-
-// MatMulParallel returns a×b using up to `units` goroutines. Output rows are
-// partitioned into register-tile-aligned panels among workers — this mirrors
-// how a training task in the paper exploits the computing units granted by
-// its @constraint (Tensorflow intra-op parallelism) — but small products
-// (m·n·k < parallelCutover) run serially regardless of units so tiny
-// matrices never pay the fork/join overhead. units < 1 is treated as 1.
-func MatMulParallel(a, b *Tensor, units int) *Tensor {
-	m, _, n := mmShape(a, b)
-	return MatMulInto(New(m, n), a, b, units)
-}
 
 // MatMulInto computes dst = a×b in place, overwriting dst (which must be
 // m×n), and returns dst. It performs no allocations, letting steady-state

@@ -8,7 +8,7 @@ import (
 func TestMatMulKnownValues(t *testing.T) {
 	a := FromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
 	b := FromSlice([]float64{7, 8, 9, 10, 11, 12}, 3, 2)
-	c := MatMul(a, b)
+	c := matMul(a, b, 1)
 	want := FromSlice([]float64{58, 64, 139, 154}, 2, 2)
 	if !c.Equal(want) {
 		t.Fatalf("MatMul = %v, want %v", c.Data(), want.Data())
@@ -22,10 +22,10 @@ func TestMatMulIdentity(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		id.Set(1, i, i)
 	}
-	if !MatMul(a, id).AllClose(a, 1e-12) {
+	if !matMul(a, id, 1).AllClose(a, 1e-12) {
 		t.Fatal("A×I != A")
 	}
-	if !MatMul(id, a).AllClose(a, 1e-12) {
+	if !matMul(id, a, 1).AllClose(a, 1e-12) {
 		t.Fatal("I×A != A")
 	}
 }
@@ -36,7 +36,7 @@ func TestMatMulDimensionMismatchPanics(t *testing.T) {
 			t.Fatal("expected panic for inner dimension mismatch")
 		}
 	}()
-	MatMul(New(2, 3), New(4, 2))
+	matMul(New(2, 3), New(4, 2), 1)
 }
 
 // Row panels split at register-tile boundaries, so every output element is
@@ -47,8 +47,8 @@ func TestMatMulParallelMatchesSerial(t *testing.T) {
 	for _, units := range []int{2, 3, 4, 8, 100} {
 		a := Randn(r, 17, 13)
 		b := Randn(r, 13, 9)
-		serial := MatMulParallel(a, b, 1)
-		par := MatMulParallel(a, b, units)
+		serial := matMul(a, b, 1)
+		par := matMul(a, b, units)
 		if !serial.Equal(par) {
 			t.Fatalf("units=%d: parallel result differs from serial", units)
 		}
@@ -56,7 +56,7 @@ func TestMatMulParallelMatchesSerial(t *testing.T) {
 }
 
 func TestMatMulEmpty(t *testing.T) {
-	c := MatMul(New(0, 3), New(3, 4))
+	c := matMul(New(0, 3), New(3, 4), 1)
 	if c.Dim(0) != 0 || c.Dim(1) != 4 {
 		t.Fatalf("empty matmul shape = %v", c.Shape())
 	}
@@ -70,8 +70,8 @@ func TestMatMulTransposeProperty(t *testing.T) {
 		m, k, n := 1+rr.Intn(8), 1+rr.Intn(8), 1+rr.Intn(8)
 		a := Randn(r, m, k)
 		b := Randn(r, k, n)
-		lhs := MatMul(a, b).Transpose()
-		rhs := MatMul(b.Transpose(), a.Transpose())
+		lhs := matMul(a, b, 1).Transpose()
+		rhs := matMul(b.Transpose(), a.Transpose(), 1)
 		return lhs.AllClose(rhs, 1e-9)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
@@ -89,8 +89,8 @@ func TestMatMulDistributivityProperty(t *testing.T) {
 		a := Randn(r, m, k)
 		b := Randn(r, k, n)
 		c := Randn(r, k, n)
-		lhs := MatMul(a, b.Add(c))
-		rhs := MatMul(a, b).Add(MatMul(a, c))
+		lhs := matMul(a, b.Add(c), 1)
+		rhs := matMul(a, b, 1).Add(matMul(a, c, 1))
 		return lhs.AllClose(rhs, 1e-9)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
@@ -106,7 +106,7 @@ func TestMatMulParallelAgreementProperty(t *testing.T) {
 		units := 1 + rr.Intn(16)
 		a := Randn(rr, m, k)
 		b := Randn(rr, k, n)
-		return MatMulParallel(a, b, units).AllClose(MatMulParallel(a, b, 1), 1e-9)
+		return matMul(a, b, units).AllClose(matMul(a, b, 1), 1e-9)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
@@ -146,8 +146,8 @@ var edgeShapes = [][3]int{
 	{100, 1, 100}, {31, 258, 29},
 }
 
-// TestMatMulVariantsMatchReference pins every kernel entry point — serial
-// tiled, parallel and the NN, TransA and TransB *Into forms — to the naive
+// TestMatMulVariantsMatchReference pins every kernel entry point — the NN,
+// TransA and TransB *Into forms, serial and parallel — to the naive
 // reference within 1e-9 across the edge shapes. Run under -race in CI, this
 // also checks the row-panel fan-out for data races.
 func TestMatMulVariantsMatchReference(t *testing.T) {
@@ -158,9 +158,6 @@ func TestMatMulVariantsMatchReference(t *testing.T) {
 		b := Randn(r, k, n)
 		want := matmulRef(a, b)
 		for _, units := range []int{1, 3, 8} {
-			if got := MatMulParallel(a, b, units); !got.AllClose(want, 1e-9) {
-				t.Fatalf("MatMulParallel(%v, units=%d) differs from reference", sh, units)
-			}
 			// Into on a dirty destination: stale contents must be overwritten.
 			dst := Full(42, m, n)
 			if got := MatMulInto(dst, a, b, units); !got.AllClose(want, 1e-9) {
@@ -192,7 +189,7 @@ func TestMatMulVariantsProperty(t *testing.T) {
 		a := Randn(rr, m, k)
 		b := Randn(rr, k, n)
 		want := matmulRef(a, b)
-		return MatMulParallel(a, b, units).AllClose(want, 1e-9) &&
+		return matMul(a, b, units).AllClose(want, 1e-9) &&
 			MatMulTransAInto(New(m, n), a.Transpose(), b, units).AllClose(want, 1e-9) &&
 			MatMulTransBInto(New(m, n), a, b.Transpose(), units).AllClose(want, 1e-9)
 	}
@@ -248,11 +245,11 @@ func BenchmarkMatMulTransB(b *testing.B) {
 }
 
 func BenchmarkMatMulSerial(b *testing.B) {
-	benchGFLOPS(b, 128, func(x, y *Tensor) { MatMulParallel(x, y, 1) })
+	benchGFLOPS(b, 128, func(x, y *Tensor) { matMul(x, y, 1) })
 }
 
 func BenchmarkMatMulParallel4(b *testing.B) {
-	benchGFLOPS(b, 128, func(x, y *Tensor) { MatMulParallel(x, y, 4) })
+	benchGFLOPS(b, 128, func(x, y *Tensor) { matMul(x, y, 4) })
 }
 
 // BenchmarkEpochGEMM runs the matrix products of one train_heavy epoch in the

@@ -5,121 +5,6 @@ import (
 	"math"
 )
 
-// Add returns t + o element-wise. Shapes must match.
-func (t *Tensor) Add(o *Tensor) *Tensor {
-	return t.zipWith(o, func(a, b float64) float64 { return a + b })
-}
-
-// Sub returns t - o element-wise.
-func (t *Tensor) Sub(o *Tensor) *Tensor {
-	return t.zipWith(o, func(a, b float64) float64 { return a - b })
-}
-
-// Mul returns the element-wise (Hadamard) product t * o.
-func (t *Tensor) Mul(o *Tensor) *Tensor {
-	return t.zipWith(o, func(a, b float64) float64 { return a * b })
-}
-
-func (t *Tensor) zipWith(o *Tensor, f func(a, b float64) float64) *Tensor {
-	if !sameShape(t.shape, o.shape) {
-		panic(fmt.Sprintf("tensor: shape mismatch %v vs %v", t.shape, o.shape))
-	}
-	out := New(t.shape...)
-	for i := range t.data {
-		out.data[i] = f(t.data[i], o.data[i])
-	}
-	return out
-}
-
-// Scale returns t * s element-wise.
-func (t *Tensor) Scale(s float64) *Tensor {
-	out := New(t.shape...)
-	for i := range t.data {
-		out.data[i] = t.data[i] * s
-	}
-	return out
-}
-
-// ScaleInPlace multiplies every element by s and returns t.
-func (t *Tensor) ScaleInPlace(s float64) *Tensor {
-	for i := range t.data {
-		t.data[i] *= s
-	}
-	return t
-}
-
-// AddScalar returns t + s element-wise.
-func (t *Tensor) AddScalar(s float64) *Tensor {
-	out := New(t.shape...)
-	for i := range t.data {
-		out.data[i] = t.data[i] + s
-	}
-	return out
-}
-
-// Apply returns a new tensor with f applied to every element.
-func (t *Tensor) Apply(f func(float64) float64) *Tensor {
-	out := New(t.shape...)
-	for i := range t.data {
-		out.data[i] = f(t.data[i])
-	}
-	return out
-}
-
-// Sum returns the sum of all elements.
-func (t *Tensor) Sum() float64 {
-	s := 0.0
-	for _, v := range t.data {
-		s += v
-	}
-	return s
-}
-
-// Mean returns the arithmetic mean of all elements (0 for empty tensors).
-func (t *Tensor) Mean() float64 {
-	if len(t.data) == 0 {
-		return 0
-	}
-	return t.Sum() / float64(len(t.data))
-}
-
-// Max returns the maximum element. It panics on empty tensors.
-func (t *Tensor) Max() float64 {
-	if len(t.data) == 0 {
-		panic("tensor: Max of empty tensor")
-	}
-	m := t.data[0]
-	for _, v := range t.data[1:] {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Min returns the minimum element. It panics on empty tensors.
-func (t *Tensor) Min() float64 {
-	if len(t.data) == 0 {
-		panic("tensor: Min of empty tensor")
-	}
-	m := t.data[0]
-	for _, v := range t.data[1:] {
-		if v < m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Norm returns the Euclidean (L2) norm of all elements.
-func (t *Tensor) Norm() float64 {
-	s := 0.0
-	for _, v := range t.data {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
-
 // ArgMaxRows returns, for a 2-D tensor, the column index of the maximum in
 // each row.
 func (t *Tensor) ArgMaxRows() []int {
@@ -183,21 +68,6 @@ func (t *Tensor) AddRowVectorInPlace(v *Tensor) *Tensor {
 		}
 	}
 	return t
-}
-
-// Transpose returns the transpose of a 2-D tensor.
-func (t *Tensor) Transpose() *Tensor {
-	if len(t.shape) != 2 {
-		panic("tensor: Transpose requires a 2-D tensor")
-	}
-	rows, cols := t.shape[0], t.shape[1]
-	out := New(cols, rows)
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			out.data[c*rows+r] = t.data[r*cols+c]
-		}
-	}
-	return out
 }
 
 // SoftmaxRows returns a 2-D tensor whose rows are the softmax of t's rows,

@@ -59,17 +59,3 @@ func (p *Pool) Put(ts ...*Tensor) {
 	}
 	p.mu.Unlock()
 }
-
-// Len reports how many tensors are currently pooled (for tests and stats).
-func (p *Pool) Len() int {
-	if p == nil {
-		return 0
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	n := 0
-	for _, list := range p.free {
-		n += len(list)
-	}
-	return n
-}

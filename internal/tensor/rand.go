@@ -25,12 +25,6 @@ func NewRNG(seed uint64) *RNG {
 	return &RNG{state: seed}
 }
 
-// Split derives an independent generator from the current one, suitable for
-// handing to another goroutine or sub-experiment.
-func (r *RNG) Split() *RNG {
-	return NewRNG(r.Uint64() ^ 0x9e3779b97f4a7c15)
-}
-
 // Uint64 returns the next 64 pseudo-random bits.
 func (r *RNG) Uint64() uint64 {
 	r.state += 0x9e3779b97f4a7c15

@@ -93,29 +93,17 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
-func TestSplitIndependence(t *testing.T) {
-	r := NewRNG(3)
-	s := r.Split()
-	// The parent and child streams should not be identical.
-	same := 0
-	for i := 0; i < 32; i++ {
-		if r.Uint64() == s.Uint64() {
-			same++
-		}
-	}
-	if same > 1 {
-		t.Fatalf("split stream tracks parent %d/32 times", same)
-	}
-}
-
 func TestRandTensorsShapeAndRange(t *testing.T) {
 	r := NewRNG(10)
 	if u := Randn(r, 5, 5); u.Dim(0) != 5 || u.Dim(1) != 5 {
 		t.Fatalf("Randn shape = %v", u.Shape())
 	}
-	g := Randn(r, 1000)
-	if math.Abs(g.Mean()) > 0.2 {
-		t.Fatalf("Randn mean = %v", g.Mean())
+	sum := 0.0
+	for _, v := range Randn(r, 1000).Data() {
+		sum += v
+	}
+	if mean := sum / 1000; math.Abs(mean) > 0.2 {
+		t.Fatalf("Randn mean = %v", mean)
 	}
 }
 
@@ -124,8 +112,10 @@ func TestGlorotUniformBounds(t *testing.T) {
 	fanIn, fanOut := 30, 20
 	w := GlorotUniform(r, fanIn, fanOut)
 	limit := math.Sqrt(6.0 / float64(fanIn+fanOut))
-	if w.Max() > limit || w.Min() < -limit {
-		t.Fatalf("Glorot weights exceed limit %v: [%v, %v]", limit, w.Min(), w.Max())
+	for _, v := range w.Data() {
+		if v > limit || v < -limit {
+			t.Fatalf("Glorot weight %v exceeds limit %v", v, limit)
+		}
 	}
 	if w.Dim(0) != fanIn || w.Dim(1) != fanOut {
 		t.Fatalf("Glorot shape = %v", w.Shape())

@@ -1,10 +1,10 @@
 // Package tensor implements dense numeric tensors used by the neural-network
 // substrate. It provides the small set of linear-algebra operations that the
-// training workloads in this repository need: element-wise arithmetic,
-// reductions, 2-D matrix multiplication (optionally parallel across a bounded
-// number of goroutines, mirroring the "computing units" a COMPSs task is
-// granted), and a deterministic random number generator so experiments are
-// reproducible.
+// training workloads in this repository need: row-wise softmax, argmax and
+// bias operations, 2-D matrix multiplication (optionally parallel across a
+// bounded number of goroutines, mirroring the "computing units" a COMPSs
+// task is granted), optimiser steps, and a deterministic random number
+// generator so experiments are reproducible.
 package tensor
 
 import (
@@ -32,18 +32,6 @@ func New(shape ...int) *Tensor {
 		data:  make([]float64, n),
 	}
 	t.stride = computeStrides(t.shape)
-	return t
-}
-
-// Ones allocates a tensor filled with 1.
-func Ones(shape ...int) *Tensor { return Full(1, shape...) }
-
-// Full allocates a tensor filled with value v.
-func Full(v float64, shape ...int) *Tensor {
-	t := New(shape...)
-	for i := range t.data {
-		t.data[i] = v
-	}
 	return t
 }
 
@@ -100,30 +88,6 @@ func (t *Tensor) Size() int { return len(t.data) }
 
 // Data returns the underlying storage. Mutating it mutates the tensor.
 func (t *Tensor) Data() []float64 { return t.data }
-
-// At returns the element at the given multi-dimensional index.
-func (t *Tensor) At(idx ...int) float64 {
-	return t.data[t.offset(idx)]
-}
-
-// Set stores v at the given multi-dimensional index.
-func (t *Tensor) Set(v float64, idx ...int) {
-	t.data[t.offset(idx)] = v
-}
-
-func (t *Tensor) offset(idx []int) int {
-	if len(idx) != len(t.shape) {
-		panic(fmt.Sprintf("tensor: index %v does not match rank %d", idx, len(t.shape)))
-	}
-	off := 0
-	for i, x := range idx {
-		if x < 0 || x >= t.shape[i] {
-			panic(fmt.Sprintf("tensor: index %v out of range for shape %v", idx, t.shape))
-		}
-		off += x * t.stride[i]
-	}
-	return off
-}
 
 // Clone returns a deep copy of the tensor.
 func (t *Tensor) Clone() *Tensor {

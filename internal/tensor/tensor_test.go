@@ -57,18 +57,6 @@ func TestFromSliceLengthMismatchPanics(t *testing.T) {
 	FromSlice([]float64{1, 2, 3}, 2, 2)
 }
 
-func TestFullAndOnes(t *testing.T) {
-	x := Full(3.25, 2, 2)
-	for _, v := range x.Data() {
-		if v != 3.25 {
-			t.Fatalf("Full element = %v", v)
-		}
-	}
-	if got := Ones(5).Sum(); got != 5 {
-		t.Fatalf("Ones(5).Sum() = %v, want 5", got)
-	}
-}
-
 func TestCloneIsDeep(t *testing.T) {
 	x := FromSlice([]float64{1, 2, 3, 4}, 2, 2)
 	c := x.Clone()
@@ -102,62 +90,6 @@ func TestReshapeBadSizePanics(t *testing.T) {
 		}
 	}()
 	New(2, 3).Reshape(4, 2)
-}
-
-func TestElementwiseOps(t *testing.T) {
-	a := FromSlice([]float64{1, 2, 3, 4}, 2, 2)
-	b := FromSlice([]float64{4, 3, 2, 1}, 2, 2)
-	if got := a.Add(b); !got.Equal(Full(5, 2, 2)) {
-		t.Fatalf("Add = %v", got.Data())
-	}
-	if got := a.Sub(b).Data(); got[0] != -3 || got[3] != 3 {
-		t.Fatalf("Sub = %v", got)
-	}
-	if got := a.Mul(b).Sum(); got != 4+6+6+4 {
-		t.Fatalf("Mul sum = %v", got)
-	}
-	if got := a.Scale(2).Sum(); got != 20 {
-		t.Fatalf("Scale sum = %v", got)
-	}
-	if got := a.AddScalar(1).Sum(); got != 14 {
-		t.Fatalf("AddScalar sum = %v", got)
-	}
-}
-
-func TestShapeMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for shape mismatch")
-		}
-	}()
-	New(2, 2).Add(New(2, 3))
-}
-
-func TestInPlaceOps(t *testing.T) {
-	a := FromSlice([]float64{11, 22}, 2)
-	a.ScaleInPlace(0.5)
-	if a.Data()[0] != 5.5 || a.Data()[1] != 11 {
-		t.Fatalf("ScaleInPlace = %v", a.Data())
-	}
-}
-
-func TestReductions(t *testing.T) {
-	x := FromSlice([]float64{3, -1, 4, 1}, 2, 2)
-	if x.Sum() != 7 {
-		t.Fatalf("Sum = %v", x.Sum())
-	}
-	if x.Mean() != 1.75 {
-		t.Fatalf("Mean = %v", x.Mean())
-	}
-	if x.Max() != 4 {
-		t.Fatalf("Max = %v", x.Max())
-	}
-	if x.Min() != -1 {
-		t.Fatalf("Min = %v", x.Min())
-	}
-	if got := x.Norm(); math.Abs(got-math.Sqrt(27)) > 1e-12 {
-		t.Fatalf("Norm = %v", got)
-	}
 }
 
 func TestArgMaxRows(t *testing.T) {
