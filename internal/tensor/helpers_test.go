@@ -24,7 +24,7 @@ func (t *Tensor) offset(idx []int) int {
 		if x < 0 || x >= t.shape[i] {
 			panic(fmt.Sprintf("tensor: index %v out of range for shape %v", idx, t.shape))
 		}
-		off += x * t.stride[i]
+		off = off*t.shape[i] + x
 	}
 	return off
 }

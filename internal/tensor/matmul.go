@@ -161,9 +161,10 @@ func gemmParallel(m, k, n, units int, kernel func(lo, hi int)) {
 
 // gemmNN computes out[lo:hi, :] = a[lo:hi, :]×b for row-major a (·×k),
 // b (k×n) and out (·×n). The inner kernel keeps a 4×4 accumulator tile in
-// registers across a k-panel (asmTiles takes the columns the bit-identical
-// assembly tiles cover first); the first panel stores (overwriting
-// whatever dst held) and subsequent panels accumulate.
+// registers across a k-panel; the first panel stores (overwriting whatever
+// dst held) and subsequent panels accumulate. The last rows mod 4 run one
+// row at a time, each element chaining from dst. On an AVX2 host asmPanel
+// runs every panel in bit-identical assembly instead.
 func gemmNN(a, b, out []float64, k, n, lo, hi int) {
 	for kb := 0; kb < k; kb += kcBlock {
 		kEnd := kb + kcBlock
@@ -171,13 +172,17 @@ func gemmNN(a, b, out []float64, k, n, lo, hi int) {
 			kEnd = k
 		}
 		first := kb == 0
+		if useAVX2 {
+			asmPanel(kEnd-kb, a[lo*k+kb:], k, 1, b[kb*n:], out[lo*n:], n, hi-lo, !first)
+			continue
+		}
 		i := lo
 		for ; i+mrTile <= hi; i += mrTile {
 			a0 := a[(i+0)*k : (i+0)*k+k]
 			a1 := a[(i+1)*k : (i+1)*k+k]
 			a2 := a[(i+2)*k : (i+2)*k+k]
 			a3 := a[(i+3)*k : (i+3)*k+k]
-			j := asmTiles(kEnd-kb, &a[i*k+kb], k, 1, b[kb*n:], out[i*n:], n, !first)
+			j := 0
 			for ; j+nrTile <= n; j += nrTile {
 				var c00, c01, c02, c03 float64
 				var c10, c11, c12, c13 float64
@@ -276,31 +281,44 @@ func gemmNN(a, b, out []float64, k, n, lo, hi int) {
 	}
 }
 
-// asmTiles runs the assembly tiles across one 4-row block of a k-panel:
-// 4×16 tiles while useAVX512, then 4×8 tiles while useAVX2. a points at
-// A(0, 0) of the block, with row stride rsa and column stride csa; b and out
-// start at the panel's first row of B and the block's first output row, both
-// with row stride n. It returns the first column left for the scalar tiles.
-func asmTiles(kc int, a *float64, rsa, csa int, b, out []float64, n int, acc bool) int {
-	j := 0
-	if useAVX512 {
-		for ; j+16 <= n; j += 16 {
-			tile4x16(kc, a, rsa, csa, &b[j], n, &out[j], n, acc)
+// asmPanel computes rows [0, rows) of one k-panel on an AVX2 host, all in
+// assembly: 4×16 tiles while useAVX512, then 4×8 tiles, across each 4-row
+// block; masked 4×4 tiles down all the blocks at once for the last n mod 8
+// columns; and the row kernel for the last rows mod 4. a points at A(0, 0)
+// of the panel's rows, with row stride rsa and column stride csa; b and out
+// start at the panel's first row of B and the first output row, both with
+// row stride n. The tiles add a panel sum into out, the row kernel chains
+// each element from it, as the scalar tiles and row loop do.
+func asmPanel(kc int, a []float64, rsa, csa int, b, out []float64, n, rows int, acc bool) {
+	i := 0
+	for ; i+mrTile <= rows; i += mrTile {
+		j := 0
+		if useAVX512 {
+			for ; j+16 <= n; j += 16 {
+				tile4x16(kc, &a[i*rsa], rsa, csa, &b[j], n, &out[i*n+j], n, acc)
+			}
 		}
-	}
-	if useAVX2 {
 		for ; j+8 <= n; j += 8 {
-			tile4x8(kc, a, rsa, csa, &b[j], n, &out[j], n, acc)
+			tile4x8(kc, &a[i*rsa], rsa, csa, &b[j], n, &out[i*n+j], n, acc)
 		}
 	}
-	return j
+	if blocks := i / mrTile; blocks > 0 {
+		for j := n - n%8; j < n; j += 4 {
+			tile4x4m(kc, &a[0], rsa, csa, &b[j], n, &out[j], n, acc, min(4, n-j), blocks)
+		}
+	}
+	if i < rows {
+		for j := 0; j < n; j += 4 {
+			rows3x4m(kc, &a[i*rsa], rsa, csa, &b[j], n, &out[i*n+j], n, acc, rows-i, min(4, n-j))
+		}
+	}
 }
 
 // gemmTA computes out[lo:hi, :] = (aᵀ×b)[lo:hi, :] for a (k×m), b (k×n) and
 // out (m×n), reading both operands along their natural row-major layout —
 // a[p·m+i…] and b[p·n+j…] are contiguous — so no transpose copy is needed.
-// The assembly tiles take what they can as in gemmNN, reading a with column
-// stride m.
+// asmPanel takes every panel on an AVX2 host as in gemmNN, reading a with
+// row stride 1 and column stride m.
 func gemmTA(a, b, out []float64, k, m, n, lo, hi int) {
 	for kb := 0; kb < k; kb += kcBlock {
 		kEnd := kb + kcBlock
@@ -308,9 +326,13 @@ func gemmTA(a, b, out []float64, k, m, n, lo, hi int) {
 			kEnd = k
 		}
 		first := kb == 0
+		if useAVX2 {
+			asmPanel(kEnd-kb, a[kb*m+lo:], 1, m, b[kb*n:], out[lo*n:], n, hi-lo, !first)
+			continue
+		}
 		i := lo
 		for ; i+mrTile <= hi; i += mrTile {
-			j := asmTiles(kEnd-kb, &a[kb*m+i], 1, m, b[kb*n:], out[i*n:], n, !first)
+			j := 0
 			for ; j+nrTile <= n; j += nrTile {
 				var c00, c01, c02, c03 float64
 				var c10, c11, c12, c13 float64

@@ -1,9 +1,10 @@
 package tensor
 
-// useAVX2 selects the assembly 4×8 tile in gemmNN and gemmTA and the
-// optimiser step kernels; useAVX512 selects the 4×16 tile. Both are set once
-// from CPUID/XGETBV, so a CPU or OS without the vector state runs the scalar
-// code instead of faulting; tests toggle them to compare the paths.
+// useAVX2 selects the assembly 4×8 tile and the masked column and row
+// kernels in gemmNN and gemmTA, and the optimiser step kernels; useAVX512
+// selects the 4×16 tile. Both are set once from CPUID/XGETBV, so a CPU or OS
+// without the vector state runs the scalar code instead of faulting; tests
+// toggle them to compare the paths.
 var (
 	useAVX2   = hasAVX2()
 	useAVX512 = useAVX2 && hasAVX512F()
@@ -41,6 +42,22 @@ func tile4x8(kc int, a *float64, rsa, csa int, b *float64, ldb int, c *float64, 
 //
 //go:noescape
 func tile4x16(kc int, a *float64, rsa, csa int, b *float64, ldb int, c *float64, ldc int, acc bool)
+
+// tile4x4m is tile4x8 for mb 4×nc blocks stacked down the rows, 1 ≤ nc ≤ 4:
+// block q is rows 4q..4q+3 of A and C against the same kc rows of B. Its
+// loads and stores are masked to the nc columns, so it reads and writes
+// nothing past them.
+//
+//go:noescape
+func tile4x4m(kc int, a *float64, rsa, csa int, b *float64, ldb int, c *float64, ldc int, acc bool, nc, mb int)
+
+// rows3x4m computes the nr×nc block, 1 ≤ nr ≤ 3 and 1 ≤ nc ≤ 4, the way the
+// scalar row loop does: each element starts from C with acc (from zero
+// without) and adds A(r, p)·B(p, j) in p order, so on a later panel it
+// chains from C rather than adding a panel sum to it. Masked like tile4x4m.
+//
+//go:noescape
+func rows3x4m(kc int, a *float64, rsa, csa int, b *float64, ldb int, c *float64, ldc int, acc bool, nr, nc int)
 
 func cpuid(leaf, sub uint32) (a, b, c, d uint32)
 

@@ -89,3 +89,52 @@ func TestAVX2TileBitIdentical(t *testing.T) {
 		})
 	}
 }
+
+// TestNarrowGEMMBitIdentical sweeps the shapes the masked kernels take:
+// every n in 1..17 (n mod 8 and n mod 4 column tails next to zero, one or
+// two 4×8 tiles and a 4×16 one), every m in 1..9 (zero to three tail rows
+// next to zero to two 4-row blocks), and k ∈ {1, 8, 256, 257, 784} (one
+// step, one panel, a full panel, a one-step second panel, and 784 inputs
+// over four panels, where the row tail chains from the destination across
+// panels). Both products run at 1–3 units on destinations filled with 42
+// and must equal the scalar serial result element for element. It toggles
+// the package-level kernel switches, so it must not run in parallel with
+// other tests.
+func TestNarrowGEMMBitIdentical(t *testing.T) {
+	type product struct {
+		m, k, n                  int
+		a, at, b, wantNN, wantTA *Tensor
+	}
+	r := NewRNG(45)
+	var products []product
+	restore := SetSIMD(false, false)
+	for _, k := range []int{1, 8, 256, 257, 784} {
+		for m := 1; m <= 9; m++ {
+			for n := 1; n <= 17; n++ {
+				p := product{m: m, k: k, n: n, a: Randn(r, m, k), at: Randn(r, k, m), b: Randn(r, k, n)}
+				p.wantNN = MatMulInto(Full(42, m, n), p.a, p.b, 1)
+				p.wantTA = MatMulTransAInto(Full(42, m, n), p.at, p.b, 1)
+				products = append(products, p)
+			}
+		}
+	}
+	restore()
+	for _, path := range SIMDPaths[1:] {
+		t.Run(path.Name, func(t *testing.T) {
+			if !path.Have {
+				t.Skipf("CPU or OS without %s: its kernels cannot run here", path.Feature)
+			}
+			defer SetSIMD(path.AVX2, path.AVX512)()
+			for _, p := range products {
+				for units := 1; units <= 3; units++ {
+					if got := MatMulInto(Full(42, p.m, p.n), p.a, p.b, units); !got.Equal(p.wantNN) {
+						t.Fatalf("MatMulInto m=%d k=%d n=%d units=%d: not bit-identical to the scalar serial result", p.m, p.k, p.n, units)
+					}
+					if got := MatMulTransAInto(Full(42, p.m, p.n), p.at, p.b, units); !got.Equal(p.wantTA) {
+						t.Fatalf("MatMulTransAInto m=%d k=%d n=%d units=%d: not bit-identical to the scalar serial result", p.m, p.k, p.n, units)
+					}
+				}
+			}
+		})
+	}
+}

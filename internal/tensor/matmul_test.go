@@ -289,3 +289,40 @@ func BenchmarkEpochGEMM(b *testing.B) {
 	}
 	b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 }
+
+// BenchmarkNarrowGEMM times the products whose columns or rows fall outside
+// the full 4-row × 8-column tiles: report_heavy's 784→2 layer (its 8-row
+// training forward, its 2-row validation forward and its dW = xᵀ·dh) and the
+// 10-class head of the other workloads (a 32-row forward and a 64×10 dW from
+// 32 rows). It runs on one unit with whatever kernels the CPU selects.
+func BenchmarkNarrowGEMM(b *testing.B) {
+	for _, c := range []struct {
+		name    string
+		transA  bool
+		m, k, n int
+	}{
+		{"NN_8x784x2", false, 8, 784, 2},
+		{"NN_2x784x2", false, 2, 784, 2},
+		{"TA_784x8x2", true, 784, 8, 2},
+		{"NN_32x64x10", false, 32, 64, 10},
+		{"TA_64x32x10", true, 64, 32, 10},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			r := NewRNG(1)
+			y, dst := Randn(r, c.k, c.n), New(c.m, c.n)
+			if c.transA {
+				x := Randn(r, c.k, c.m)
+				for b.Loop() {
+					MatMulTransAInto(dst, x, y, 1)
+				}
+			} else {
+				x := Randn(r, c.m, c.k)
+				for b.Loop() {
+					MatMulInto(dst, x, y, 1)
+				}
+			}
+			flops := 2 * float64(c.m*c.k*c.n)
+			b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+		})
+	}
+}

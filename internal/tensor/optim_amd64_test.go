@@ -64,29 +64,44 @@ func TestOptimizerStepBitIdentical(t *testing.T) {
 }
 
 // TestOptimizerFitBitIdentical trains the train_heavy model (784→64→10,
-// batch 32, 3 epochs on 800 MNIST-like samples) once per optimiser on the
-// scalar code alone and again on each SIMD path — GEMM tiles and optimiser
-// kernels together — and requires the same losses, accuracies and final
+// batch 32, 3 epochs on 800 MNIST-like samples) and the report_heavy model
+// (784→2→10, batches of 8 and 16, 5 epochs on 10 samples: a 2-column first
+// layer and a 2-row validation batch) once per optimiser on the scalar code
+// alone and again on each SIMD path — GEMM kernels and optimiser kernels
+// together — and requires the same losses, accuracies and final
 // parameters, bit for bit.
 func TestOptimizerFitBitIdentical(t *testing.T) {
-	ds := datasets.MNISTLike(800, 40)
-	tr, va := ds.Split(0.8, tensor.NewRNG(41))
-	fit := func(t *testing.T, opt string) (*nn.History, []*tensor.Tensor) {
+	models := []struct {
+		name                           string
+		samples, hidden, batch, epochs int
+	}{
+		{"train_heavy", 800, 64, 32, 3},
+		{"report_heavy batch 8", 10, 2, 8, 5},
+		{"report_heavy batch 16", 10, 2, 16, 5},
+	}
+	fit := func(t *testing.T, opt string, i int) (*nn.History, []*tensor.Tensor) {
+		c := models[i]
+		ds := datasets.MNISTLike(c.samples, 40)
+		tr, va := ds.Split(0.8, tensor.NewRNG(41))
 		r := tensor.NewRNG(42)
-		m := nn.NewMLP(r, ds.Features(), []int{64}, 10)
+		m := nn.NewMLP(r, ds.Features(), []int{c.hidden}, 10)
 		o, err := nn.NewOptimizer(opt, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		h, err := m.Fit(tr.X, tr.Y, va.X, va.Y, nn.FitConfig{Epochs: 3, BatchSize: 32, Optimizer: o, Shuffle: true, RNG: r})
+		h, err := m.Fit(tr.X, tr.Y, va.X, va.Y, nn.FitConfig{Epochs: c.epochs, BatchSize: c.batch, Optimizer: o, Shuffle: true, RNG: r})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return h, m.Params()
 	}
 	for _, opt := range []string{"Adam", "RMSprop", "SGD"} {
+		wantH := make([]*nn.History, len(models))
+		wantP := make([][]*tensor.Tensor, len(models))
 		restore := tensor.SetSIMD(false, false)
-		wantH, wantP := fit(t, opt)
+		for i := range models {
+			wantH[i], wantP[i] = fit(t, opt, i)
+		}
 		restore()
 		for _, path := range tensor.SIMDPaths[1:] {
 			t.Run(opt+"/"+path.Name, func(t *testing.T) {
@@ -94,23 +109,25 @@ func TestOptimizerFitBitIdentical(t *testing.T) {
 					t.Skipf("CPU or OS without %s: its kernels cannot run here", path.Feature)
 				}
 				defer tensor.SetSIMD(path.AVX2, path.AVX512)()
-				h, params := fit(t, opt)
-				for _, c := range []struct {
-					name      string
-					got, want []float64
-				}{
-					{"train loss", h.TrainLoss, wantH.TrainLoss}, {"train accuracy", h.TrainAcc, wantH.TrainAcc},
-					{"validation loss", h.ValLoss, wantH.ValLoss}, {"validation accuracy", h.ValAcc, wantH.ValAcc},
-				} {
-					for e := range c.want {
-						if c.got[e] != c.want[e] {
-							t.Fatalf("epoch %d %s = %v, scalar code gives %v", e, c.name, c.got[e], c.want[e])
+				for i, model := range models {
+					h, params := fit(t, opt, i)
+					for _, c := range []struct {
+						name      string
+						got, want []float64
+					}{
+						{"train loss", h.TrainLoss, wantH[i].TrainLoss}, {"train accuracy", h.TrainAcc, wantH[i].TrainAcc},
+						{"validation loss", h.ValLoss, wantH[i].ValLoss}, {"validation accuracy", h.ValAcc, wantH[i].ValAcc},
+					} {
+						for e := range c.want {
+							if c.got[e] != c.want[e] {
+								t.Fatalf("%s: epoch %d %s = %v, scalar code gives %v", model.name, e, c.name, c.got[e], c.want[e])
+							}
 						}
 					}
-				}
-				for i := range wantP {
-					if !params[i].Equal(wantP[i]) {
-						t.Fatalf("parameter tensor %d differs from the scalar code's after 3 epochs", i)
+					for j := range wantP[i] {
+						if !params[j].Equal(wantP[i][j]) {
+							t.Fatalf("%s: parameter tensor %d differs from the scalar code's after %d epochs", model.name, j, model.epochs)
+						}
 					}
 				}
 			})

@@ -39,7 +39,6 @@ func (p *Pool) Get(shape ...int) *Tensor {
 	p.free[n] = list[:len(list)-1]
 	p.mu.Unlock()
 	t.shape = append(t.shape[:0], shape...)
-	t.stride = computeStrides(t.shape)
 	return t
 }
 

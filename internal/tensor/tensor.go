@@ -18,21 +18,18 @@ import (
 // The zero value is not useful; construct tensors with New, FromSlice
 // or the random constructors in rand.go.
 type Tensor struct {
-	shape  []int
-	stride []int
-	data   []float64
+	shape []int
+	data  []float64
 }
 
 // New allocates a zero-filled tensor with the given shape.
 // It panics if any dimension is negative or the shape is empty.
 func New(shape ...int) *Tensor {
 	n := checkShape(shape)
-	t := &Tensor{
+	return &Tensor{
 		shape: append([]int(nil), shape...),
 		data:  make([]float64, n),
 	}
-	t.stride = computeStrides(t.shape)
-	return t
 }
 
 // FromSlice wraps data in a tensor of the given shape. The slice is used
@@ -42,12 +39,10 @@ func FromSlice(data []float64, shape ...int) *Tensor {
 	if len(data) != n {
 		panic(fmt.Sprintf("tensor: FromSlice data length %d does not match shape %v (want %d)", len(data), shape, n))
 	}
-	t := &Tensor{
+	return &Tensor{
 		shape: append([]int(nil), shape...),
 		data:  data,
 	}
-	t.stride = computeStrides(t.shape)
-	return t
 }
 
 func checkShape(shape []int) int {
@@ -62,16 +57,6 @@ func checkShape(shape []int) int {
 		n *= d
 	}
 	return n
-}
-
-func computeStrides(shape []int) []int {
-	stride := make([]int, len(shape))
-	s := 1
-	for i := len(shape) - 1; i >= 0; i-- {
-		stride[i] = s
-		s *= shape[i]
-	}
-	return stride
 }
 
 // Shape returns a copy of the tensor's shape.
@@ -123,7 +108,7 @@ func (t *Tensor) Reshape(shape ...int) *Tensor {
 	if n != len(t.data) {
 		panic(fmt.Sprintf("tensor: cannot reshape %v (%d elems) to %v (%d elems)", t.shape, len(t.data), shape, n))
 	}
-	return &Tensor{shape: shape, stride: computeStrides(shape), data: t.data}
+	return &Tensor{shape: shape, data: t.data}
 }
 
 // Fill sets every element to v.

@@ -171,3 +171,25 @@ func TestStringRendering(t *testing.T) {
 		t.Fatal("empty String for large tensor")
 	}
 }
+
+// TestConstructorAllocs pins the allocations of building a tensor: New,
+// a Reshape view of it, and a Pool.Get that recycles a pooled tensor's
+// header, shape and data. A slice added to every tensor header, as the
+// row-major strides once were, shows here as one more allocation each.
+func TestConstructorAllocs(t *testing.T) {
+	p := NewPool()
+	p.Put(New(32, 64))
+	for _, c := range []struct {
+		name string
+		want float64
+		f    func()
+	}{
+		{"New(32, 64)", 3, func() { New(32, 64) }},
+		{"New(32, 64).Reshape(64, 32)", 6, func() { New(32, 64).Reshape(64, 32) }},
+		{"recycled Pool.Get(32, 64)", 1, func() { p.Put(p.Get(32, 64)) }},
+	} {
+		if got := testing.AllocsPerRun(100, c.f); got != c.want {
+			t.Errorf("%s: %v allocations, want %v", c.name, got, c.want)
+		}
+	}
+}
