@@ -26,11 +26,11 @@ func SetSIMD(avx2, avx512 bool) (restore func()) {
 	return func() { useAVX2, useAVX512 = d2, d512 }
 }
 
-// TestAVX2TileBitIdentical runs every product through the scalar tiles
-// only, then once per assembly path — AVX2 4×8 tiles alone, and AVX-512
-// 4×16 tiles ahead of them — at 1–3 units, and requires results equal
-// element for element: every assembly tile must round exactly like the
-// scalar one. Shapes are random m∈[1,70] (row tails), k∈[1,900] (several
+// TestAVX2TileBitIdentical runs every product through the scalar code
+// only, then once per assembly path — the AVX2 kernels alone (4×8 tiles,
+// masked column tiles and the masked row kernel), and AVX-512 4×16 tiles
+// ahead of them — at 1–3 units, and requires results equal element for
+// element: every assembly kernel must round exactly like the scalar code. Shapes are random m∈[1,70] (row tails), k∈[1,900] (several
 // kcBlock panels), n∈[1,70] (n%16, n%8 and n%4 column tails), n∈[16,31]
 // and 64 (a 4×16 tile next to a 4×8 tile and the tails inside one
 // product), plus the Dense products of the benchmark's four workloads. A
